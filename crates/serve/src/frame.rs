@@ -125,6 +125,11 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameError> {
 /// Never panics and never allocates more than [`MAX_FRAME`] bytes: the
 /// declared length is validated against the cap before the payload
 /// buffer exists.
+///
+/// The kind byte is read on its own and the payload straight into its
+/// own buffer, so a 512 KiB chunk is never shifted to drop its kind
+/// byte. The kind is still checked only once the whole frame is in:
+/// an unknown-kind frame that is also cut short reports `Truncated`.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, FrameError> {
     let mut prefix = [0u8; 4];
     if !read_full(r, &mut prefix)? {
@@ -137,18 +142,23 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, FrameError
     if declared > MAX_FRAME as u64 {
         return Err(FrameError::Oversized { declared });
     }
-    let mut body = vec![0u8; declared as usize];
-    if !read_full(r, &mut body)? {
+    let mut kind = [0u8; 1];
+    if !read_full(r, &mut kind)? {
         return Err(FrameError::Truncated {
-            missing: body.len(),
+            missing: declared as usize,
         });
     }
-    let kind = body[0];
+    let mut payload = vec![0u8; declared as usize - 1];
+    if !read_full(r, &mut payload)? {
+        return Err(FrameError::Truncated {
+            missing: payload.len(),
+        });
+    }
+    let kind = kind[0];
     if kind != KIND_JSON && kind != KIND_BLOCK {
         return Err(FrameError::UnknownKind(kind));
     }
-    body.remove(0);
-    Ok(Some((kind, body)))
+    Ok(Some((kind, payload)))
 }
 
 /// Writes one frame.

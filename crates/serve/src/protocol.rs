@@ -23,13 +23,13 @@
 //! shape the `lint`/`faults`/`prove` subcommands pin, extended with a
 //! `"metrics"` trailer carrying the request id, service latency and
 //! request payload size. Bulk data (`block`, `random-stream`) arrives
-//! *before* the envelope as [`KIND_BLOCK`](crate::frame::KIND_BLOCK)
-//! binary frames ([`BlockChunk`]): 40-byte header (id, seq, base,
-//! count, flags — all little-endian `u64`) followed by `count` packed
-//! permutation words. Chunks of one request may arrive in any base
-//! order when the worker pool shards the range; the envelope always
-//! arrives last.
+//! *before* the envelope as [`KIND_BLOCK`] binary frames
+//! ([`BlockChunk`]): 40-byte header (id, seq, base, count, flags — all
+//! little-endian `u64`) followed by `count` packed permutation words.
+//! Chunks of one request may arrive in any base order when the worker
+//! pool shards the range; the envelope always arrives last.
 
+use crate::frame::{KIND_BLOCK, MAX_FRAME};
 use crate::json::{escape, Json};
 
 /// Cap on the `chunk` request field (packed words per binary frame):
@@ -335,29 +335,87 @@ pub struct BlockChunk {
     pub words: Vec<u64>,
 }
 
-/// Encodes a chunk frame payload from already-serialized word bytes
-/// (little-endian `u64`s — [`BlockDecoder::decode_le_bytes_into`]'s
-/// output feeds this directly).
+/// Bytes ahead of the first word in a complete chunk frame: the 4-byte
+/// length prefix, the kind byte and the [`CHUNK_HEADER`].
+const CHUNK_FRAME_PREFIX: usize = 5 + CHUNK_HEADER;
+
+/// One outbound chunk frame, built in a single buffer.
+///
+/// The buffer starts with [`CHUNK_FRAME_PREFIX`] placeholder bytes; the
+/// producer appends the little-endian words after them (the layout
+/// [`BlockDecoder::decode_le_bytes_into`] and
+/// `OpenTable::read_le_bytes_into` write), and [`ChunkFrame::finish`]
+/// patches the length prefix, kind byte and header in place. The words
+/// are written once, by their producer, and the finished buffer is
+/// exactly what goes on the wire.
 ///
 /// [`BlockDecoder::decode_le_bytes_into`]:
 ///     hwperm_factoradic::BlockDecoder::decode_le_bytes_into
+pub(crate) struct ChunkFrame(Vec<u8>);
+
+impl ChunkFrame {
+    /// An empty frame with room for `words` packed words.
+    pub(crate) fn with_capacity(words: usize) -> ChunkFrame {
+        let mut buf = Vec::with_capacity(CHUNK_FRAME_PREFIX + words * 8);
+        buf.resize(CHUNK_FRAME_PREFIX, 0);
+        ChunkFrame(buf)
+    }
+
+    /// The buffer to append the words to, as little-endian bytes.
+    /// Append only: the placeholder bytes ahead of the words belong to
+    /// [`ChunkFrame::finish`].
+    pub(crate) fn words_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.0
+    }
+
+    /// Patches the frame prefix and chunk header over the placeholders
+    /// and returns the complete wire encoding.
+    ///
+    /// # Panics
+    /// Panics if the appended bytes are not a whole number of words,
+    /// or the frame exceeds [`MAX_FRAME`] — the server owns every
+    /// outbound chunk, so either is a bug.
+    pub(crate) fn finish(self, id: u64, seq: u64, base: u64, flags: u64) -> Vec<u8> {
+        let mut buf = self.0;
+        let body = buf
+            .len()
+            .checked_sub(CHUNK_FRAME_PREFIX)
+            .expect("chunk frame placeholders were removed");
+        assert!(
+            body.is_multiple_of(8),
+            "chunk payload of {body} bytes is not a whole number of words"
+        );
+        let len = buf.len() - 4;
+        assert!(
+            len <= MAX_FRAME,
+            "outbound frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
+        );
+        buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+        buf[4] = KIND_BLOCK;
+        let count = (body / 8) as u64;
+        for (slot, v) in buf[5..CHUNK_FRAME_PREFIX]
+            .chunks_exact_mut(8)
+            .zip([id, seq, base, count, flags])
+        {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+}
+
+/// Encodes a chunk frame payload (header + words, without the frame
+/// prefix) from already-serialized little-endian word bytes. The bytes
+/// are those of the server's one-buffer chunk frame with its 5-byte
+/// frame prefix cut off, so tests that pin this payload pin what the
+/// server sends.
 ///
 /// # Panics
 /// Panics if `word_bytes` is not a multiple of 8 long — the server
 /// owns every outbound chunk, so a ragged buffer is a bug.
 pub fn encode_chunk(id: u64, seq: u64, base: u64, flags: u64, word_bytes: &[u8]) -> Vec<u8> {
-    assert!(
-        word_bytes.len().is_multiple_of(8),
-        "chunk payload of {} bytes is not a whole number of words",
-        word_bytes.len()
-    );
-    let count = (word_bytes.len() / 8) as u64;
-    let mut out = Vec::with_capacity(CHUNK_HEADER + word_bytes.len());
-    for v in [id, seq, base, count, flags] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(word_bytes);
-    out
+    let mut frame = ChunkFrame::with_capacity(word_bytes.len() / 8);
+    frame.words_mut().extend_from_slice(word_bytes);
+    frame.finish(id, seq, base, flags).split_off(5)
 }
 
 /// Decodes a chunk frame payload, validating the header against the

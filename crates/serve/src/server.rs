@@ -41,7 +41,7 @@
 use crate::client::Client;
 use crate::frame::{encode_frame, read_frame, KIND_BLOCK, KIND_JSON};
 use crate::protocol::{
-    encode_chunk, envelope, error_result, parse_request, Request, CHUNK_FLAG_LAST, DEFAULT_CHUNK,
+    envelope, error_result, parse_request, ChunkFrame, Request, CHUNK_FLAG_LAST, DEFAULT_CHUNK,
 };
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
@@ -219,10 +219,13 @@ impl Listener {
         }
     }
 
+    /// Accepts one connection. TCP sockets get `TCP_NODELAY` (see
+    /// [`Stream::connect`]).
     pub(crate) fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
                 Ok(Stream::Tcp(s))
             }
             #[cfg(unix)]
@@ -243,9 +246,17 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
+    /// Connects to `endpoint`. TCP sockets get `TCP_NODELAY`, as do
+    /// accepted ones: every message is written whole, and a small
+    /// envelope trailing a block's last chunk must not wait behind
+    /// Nagle for the peer's delayed ACK (~40 ms on Linux loopback).
     pub(crate) fn connect(endpoint: &Endpoint) -> io::Result<Stream> {
         match endpoint {
-            Endpoint::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr)?)),
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }
             #[cfg(unix)]
             Endpoint::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
         }
@@ -710,8 +721,8 @@ impl ReqCtx {
         let _ = self.sender.send(wire);
     }
 
-    fn send_chunk(&self, payload: &[u8]) {
-        let wire = encode_frame(KIND_BLOCK, payload);
+    /// Enqueues one finished chunk frame (see [`ChunkFrame`]) as is.
+    fn send_chunk(&self, wire: Vec<u8>) {
         let stats = &self.shared.stats;
         stats
             .bytes_out
@@ -769,7 +780,6 @@ fn run_block_shard(state: &Arc<BlockState>, range: std::ops::Range<u64>) {
     // The decoder is only built (and only pays its unrank) on the
     // computed path; a warm store shard is pure sequential I/O.
     let mut decoder = state.table.is_none().then(|| BlockDecoder::new(state.n));
-    let mut bytes = Vec::with_capacity(state.chunk * 8);
     let mut base = range.start;
     while base < range.end {
         // The cancel-flag checkpoint: a shard past the request
@@ -790,22 +800,23 @@ fn run_block_shard(state: &Arc<BlockState>, range: std::ops::Range<u64>) {
             break;
         }
         let top = (base + state.chunk as u64).min(range.end);
-        bytes.clear();
+        // The words go straight into the frame that goes on the wire.
+        let mut frame = ChunkFrame::with_capacity((top - base) as usize);
         match (&state.table, &mut decoder) {
             (Some(table), _) => {
-                if let Err(e) = table.read_le_bytes_into(base..top, &mut bytes) {
+                if let Err(e) = table.read_le_bytes_into(base..top, frame.words_mut()) {
                     state.fail(format!("store error: {e}"));
                     break;
                 }
             }
-            (None, Some(decoder)) => decoder.decode_le_bytes_into(base..top, &mut bytes),
+            (None, Some(decoder)) => decoder.decode_le_bytes_into(base..top, frame.words_mut()),
             (None, None) => unreachable!("computed path always has a decoder"),
         }
         let seq = state.seq.fetch_add(1, Ordering::Relaxed);
         let flags = if top == state.end { CHUNK_FLAG_LAST } else { 0 };
         state
             .ctx
-            .send_chunk(&encode_chunk(state.id, seq, base, flags, &bytes));
+            .send_chunk(frame.finish(state.id, seq, base, flags));
         base = top;
     }
     // The LAST finishing shard (which saw remaining == 1) answers.
@@ -958,7 +969,6 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                 seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
             );
             let mut words = vec![0u64; chunk.min(count.max(1) as usize)];
-            let mut bytes = Vec::with_capacity(words.len() * 8);
             let mut drawn = 0u64;
             let mut seq = 0u64;
             while drawn < count {
@@ -970,16 +980,16 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                 }
                 let take = ((count - drawn) as usize).min(chunk);
                 source.fill_packed_u64(&mut words[..take]);
-                bytes.clear();
-                for word in &words[..take] {
-                    bytes.extend_from_slice(&word.to_le_bytes());
-                }
+                let mut frame = ChunkFrame::with_capacity(take);
+                frame
+                    .words_mut()
+                    .extend(words[..take].iter().flat_map(|w| w.to_le_bytes()));
                 let flags = if drawn + take as u64 == count {
                     CHUNK_FLAG_LAST
                 } else {
                     0
                 };
-                ctx.send_chunk(&encode_chunk(id, seq, drawn, flags, &bytes));
+                ctx.send_chunk(frame.finish(id, seq, drawn, flags));
                 seq += 1;
                 drawn += take as u64;
             }
@@ -1339,5 +1349,30 @@ impl ServerHandle {
             .expect("server joined twice")
             .join()
             .map_err(|_| io::Error::other("server thread panicked"))?
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nodelay(stream: &Stream) -> bool {
+        match stream {
+            Stream::Tcp(s) => s.nodelay().expect("read TCP_NODELAY"),
+            #[cfg(unix)]
+            Stream::Unix(_) => panic!("expected a TCP stream"),
+        }
+    }
+
+    /// Both places a TCP socket is born set `TCP_NODELAY`; without it
+    /// the envelope after a block's last chunk waits for the peer's
+    /// delayed ACK.
+    #[test]
+    fn accepted_and_connected_tcp_streams_disable_nagle() {
+        let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
+        let connected = Stream::connect(&listener.endpoint().expect("endpoint")).expect("connect");
+        let accepted = listener.accept().expect("accept");
+        assert!(nodelay(&connected), "Stream::connect left Nagle on");
+        assert!(nodelay(&accepted), "Listener::accept left Nagle on");
     }
 }

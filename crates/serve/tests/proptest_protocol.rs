@@ -9,7 +9,116 @@ use hwperm_serve::{
     Message, ServeOptions, DEFAULT_CHUNK, KIND_BLOCK, KIND_JSON, MAX_FRAME,
 };
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{Cursor, Read};
+
+/// The original frame reader, kept as a reference: it reads the kind
+/// byte and payload as one body, then drops the kind byte with
+/// `remove(0)`. [`read_frame`] reads them separately and must agree
+/// with this on every input, error variant and `missing` count
+/// included.
+fn reference_read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, FrameError> {
+    fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameError> {
+        let mut filled = 0usize;
+        while filled < buf.len() {
+            match r.read(&mut buf[filled..]) {
+                Ok(0) => {
+                    if filled == 0 {
+                        return Ok(false);
+                    }
+                    return Err(FrameError::Truncated {
+                        missing: buf.len() - filled,
+                    });
+                }
+                Ok(k) => filled += k,
+                Err(e) => return Err(FrameError::Io(e.to_string())),
+            }
+        }
+        Ok(true)
+    }
+    let mut prefix = [0u8; 4];
+    if !read_full(r, &mut prefix)? {
+        return Ok(None);
+    }
+    let declared = u32::from_be_bytes(prefix) as u64;
+    if declared == 0 {
+        return Err(FrameError::Empty);
+    }
+    if declared > MAX_FRAME as u64 {
+        return Err(FrameError::Oversized { declared });
+    }
+    let mut body = vec![0u8; declared as usize];
+    if !read_full(r, &mut body)? {
+        return Err(FrameError::Truncated {
+            missing: body.len(),
+        });
+    }
+    let kind = body[0];
+    if kind != KIND_JSON && kind != KIND_BLOCK {
+        return Err(FrameError::UnknownKind(kind));
+    }
+    body.remove(0);
+    Ok(Some((kind, body)))
+}
+
+/// A reader that hands out at most `step` bytes per `read`, so both
+/// readers' partial-read loops run the way a socket makes them.
+struct Dribble {
+    bytes: Cursor<Vec<u8>>,
+    step: usize,
+}
+
+impl Read for Dribble {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let len = buf.len().min(self.step);
+        self.bytes.read(&mut buf[..len])
+    }
+}
+
+/// Reads frames from `wire` with both readers until either stops, and
+/// checks that every outcome and the bytes consumed agree.
+fn assert_readers_agree(wire: &[u8], step: usize) {
+    let mut new = Dribble {
+        bytes: Cursor::new(wire.to_vec()),
+        step,
+    };
+    let mut old = Dribble {
+        bytes: Cursor::new(wire.to_vec()),
+        step,
+    };
+    loop {
+        let got = read_frame(&mut new);
+        let want = reference_read_frame(&mut old);
+        assert_eq!(got, want, "readers disagree on {wire:?}");
+        assert_eq!(
+            new.bytes.position(),
+            old.bytes.position(),
+            "readers consumed different byte counts of {wire:?}"
+        );
+        if !matches!(got, Ok(Some(_))) {
+            return;
+        }
+    }
+}
+
+/// A frame's declared length: honest, or any of the lengths a hostile
+/// or broken peer sends (zero, small, around the cap, anything).
+fn declared_len() -> impl Strategy<Value = Option<u32>> {
+    (0u8..6, any::<u32>()).prop_map(|(pick, v)| match pick {
+        0..=2 => None,
+        3 => Some(v % 48),
+        4 => Some(MAX_FRAME as u32 - 1 + v % 3),
+        _ => Some(v),
+    })
+}
+
+/// A frame kind: mostly the two known ones, sometimes any byte.
+fn frame_kind() -> impl Strategy<Value = u8> {
+    (0u8..4, any::<u8>()).prop_map(|(pick, k)| match pick {
+        0 => KIND_JSON,
+        1 => KIND_BLOCK,
+        _ => k,
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -56,6 +165,40 @@ proptest! {
             Err(_) => {}
             Ok(Some(_)) => prop_assert!(false, "truncated frame decoded as complete"),
         }
+    }
+
+    #[test]
+    fn read_frame_matches_the_reference_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        step in 1usize..8,
+    ) {
+        assert_readers_agree(&bytes, step);
+    }
+
+    #[test]
+    fn read_frame_matches_the_reference_on_framed_streams(
+        frames in prop::collection::vec(
+            (
+                frame_kind(),
+                prop::collection::vec(any::<u8>(), 0..40),
+                declared_len(),
+            ),
+            0..4,
+        ),
+        cut in any::<usize>(),
+        step in (0u8..2, 1usize..8).prop_map(|(whole, s)| if whole == 0 { usize::MAX } else { s }),
+    ) {
+        // Well-formed, unknown-kind, empty, oversized and mis-declared
+        // frames back to back, then cut anywhere (or not at all).
+        let mut wire = Vec::new();
+        for (kind, payload, declared) in &frames {
+            let declared = declared.unwrap_or(payload.len() as u32 + 1);
+            wire.extend_from_slice(&declared.to_be_bytes());
+            wire.push(*kind);
+            wire.extend_from_slice(payload);
+        }
+        wire.truncate(cut % (wire.len() + 1));
+        assert_readers_agree(&wire, step);
     }
 
     #[test]

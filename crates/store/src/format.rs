@@ -25,22 +25,54 @@ pub const CHUNK_HEADER_LEN: usize = 36;
 /// warm-vs-recompute advantage. Interleaving keeps the hash
 /// throughput-bound and the load I/O-bound.
 pub fn hash_words(words: &[u64]) -> u64 {
+    let quads = words.chunks_exact(4);
+    let tail = quads.remainder().iter().copied();
+    hash_quads(words.len(), quads.map(|q| [q[0], q[1], q[2], q[3]]), tail)
+}
+
+/// [`hash_words`] of the words a little-endian body encodes, read in
+/// place: a chunk body is checked without first decoding it.
+///
+/// # Panics
+/// Panics if `body` is not a whole number of words.
+pub fn hash_le_bytes(body: &[u8]) -> u64 {
+    assert!(
+        body.len().is_multiple_of(8),
+        "body of {} bytes is not a whole number of words",
+        body.len()
+    );
+    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    let quads = body.chunks_exact(32);
+    let tail = quads.remainder().chunks_exact(8).map(le);
+    hash_quads(
+        body.len() / 8,
+        quads.map(|q| [le(&q[..8]), le(&q[8..16]), le(&q[16..24]), le(&q[24..])]),
+        tail,
+    )
+}
+
+/// The hash core: `len` words arriving as whole quads, one per lane,
+/// then up to three trailing words.
+fn hash_quads(
+    len: usize,
+    quads: impl Iterator<Item = [u64; 4]>,
+    tail: impl Iterator<Item = u64>,
+) -> u64 {
     const MUL: u64 = 0x2545_F491_4F6C_DD1D;
-    let seed: u64 = 0x9E37_79B9_7F4A_7C15 ^ (words.len() as u64);
+    let seed: u64 = 0x9E37_79B9_7F4A_7C15 ^ (len as u64);
     let mut lanes = [
         seed,
         seed ^ 0xA5A5_A5A5_A5A5_A5A5,
         seed ^ 0x5A5A_5A5A_5A5A_5A5A,
         seed ^ 0x3C3C_3C3C_3C3C_3C3C,
     ];
-    let mut quads = words.chunks_exact(4);
-    for quad in &mut quads {
-        for (lane, &w) in lanes.iter_mut().zip(quad) {
+    for quad in quads {
+        for (lane, w) in lanes.iter_mut().zip(quad) {
             let h = (*lane ^ w).wrapping_mul(MUL);
             *lane = h ^ (h >> 32);
         }
     }
-    for (lane, &w) in lanes.iter_mut().zip(quads.remainder()) {
+    for (lane, w) in lanes.iter_mut().zip(tail) {
         let h = (*lane ^ w).wrapping_mul(MUL);
         *lane = h ^ (h >> 32);
     }
@@ -108,10 +140,25 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
 }
 
 /// Decode and fully validate a chunk file image against the shape the
-/// layout expects at its path. Validation order: length, magic, schema
-/// version, order, n, base, word count, exact body length, body hash.
-/// Returns the body words.
+/// layout expects at its path (see [`validate_chunk`]). Returns the
+/// body words.
 pub fn decode_chunk(path: &Path, shape: ChunkShape, bytes: &[u8]) -> Result<Vec<u64>, StoreError> {
+    let body = validate_chunk(path, shape, bytes)?;
+    Ok(body
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("exact 8-byte chunk")))
+        .collect())
+}
+
+/// Fully validate a chunk file image against the shape the layout
+/// expects at its path. Validation order: length, magic, schema
+/// version, order, n, base, word count, exact body length, body hash.
+/// Returns the body: `shape.words` little-endian words.
+pub fn validate_chunk<'a>(
+    path: &Path,
+    shape: ChunkShape,
+    bytes: &'a [u8],
+) -> Result<&'a [u8], StoreError> {
     let want_len = CHUNK_HEADER_LEN as u64 + shape.words as u64 * 8;
     if bytes.len() < CHUNK_HEADER_LEN {
         return Err(StoreError::Truncated {
@@ -155,13 +202,8 @@ pub fn decode_chunk(path: &Path, shape: ChunkShape, bytes: &[u8]) -> Result<Vec<
         });
     }
     let header_hash = le_u64(bytes, 28);
-    let mut words = Vec::with_capacity(shape.words as usize);
-    words.extend(
-        bytes[CHUNK_HEADER_LEN..]
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("exact 8-byte chunk"))),
-    );
-    let got_hash = hash_words(&words);
+    let body = &bytes[CHUNK_HEADER_LEN..];
+    let got_hash = hash_le_bytes(body);
     if got_hash != header_hash {
         return Err(StoreError::HashMismatch {
             path: path.to_path_buf(),
@@ -169,7 +211,7 @@ pub fn decode_chunk(path: &Path, shape: ChunkShape, bytes: &[u8]) -> Result<Vec<
             want: header_hash,
         });
     }
-    Ok(words)
+    Ok(body)
 }
 
 /// The content hash a chunk file's header records, without decoding
@@ -218,6 +260,28 @@ mod tests {
         assert_eq!(hash_words(&[]), hash_words(&[]));
         let h = hash_words(&[0xDEAD_BEEF, 42]);
         assert_eq!(h, hash_words(&[0xDEAD_BEEF, 42]));
+    }
+
+    #[test]
+    fn byte_hash_equals_word_hash_and_both_stay_pinned() {
+        let words: Vec<u64> = (0..7u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        // Values of the original word-slice hash: the on-disk format
+        // must not drift when the hash core is reshaped.
+        for (k, want) in [
+            (0usize, 0x6b53_bc5c_e065_0755u64),
+            (1, 0x5e3b_5a07_45a7_3d91),
+            (3, 0x8cbe_f796_9f73_a33f),
+            (4, 0xb115_12e7_a377_01b7),
+            (7, 0x2fd8_e387_a15a_14ae),
+        ] {
+            assert_eq!(hash_words(&words[..k]), want, "{k} words");
+        }
+        for k in 0..=words.len() {
+            let bytes: Vec<u8> = words[..k].iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(hash_le_bytes(&bytes), hash_words(&words[..k]), "{k} words");
+        }
     }
 
     #[test]

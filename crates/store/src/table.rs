@@ -2,7 +2,7 @@
 //! verify every chunk end-to-end, report store status, and the
 //! [`TableSource`] abstraction the sweep/prove consumers go through.
 
-use crate::format::{decode_chunk, header_hash, read_chunk_file, ChunkShape};
+use crate::format::{decode_chunk, header_hash, read_chunk_file, validate_chunk, ChunkShape};
 use crate::manifest::Manifest;
 use crate::{chunk_file_name, table_dir, Order, StoreError};
 use std::ops::Range;
@@ -68,6 +68,15 @@ impl OpenTable {
 
     /// Read and fully validate chunk `c`, returning its body words.
     pub fn read_chunk(&self, c: u64) -> Result<Vec<u64>, StoreError> {
+        let (path, shape, bytes) = self.read_chunk_image(c)?;
+        let words = decode_chunk(&path, shape, &bytes)?;
+        self.check_recorded_hash(c, &bytes)?;
+        Ok(words)
+    }
+
+    /// Read chunk `c`'s file image, with the path and the shape the
+    /// layout expects of it. Nothing is validated yet.
+    fn read_chunk_image(&self, c: u64) -> Result<(PathBuf, ChunkShape, Vec<u8>), StoreError> {
         let range = self.manifest.chunk_range(c);
         assert!(range.start < range.end, "chunk index {c} beyond the table");
         let path = self.dir.join(chunk_file_name(c));
@@ -78,55 +87,75 @@ impl OpenTable {
             base: range.start,
             words: (range.end - range.start) as u32,
         };
-        let words = decode_chunk(&path, shape, &bytes)?;
+        Ok((path, shape, bytes))
+    }
+
+    /// Cross-check a validated chunk image's header hash against the
+    /// manifest record.
+    fn check_recorded_hash(&self, c: u64, bytes: &[u8]) -> Result<(), StoreError> {
         let recorded = self.manifest.chunks.get(&c).map(|rec| rec.hash);
-        if header_hash(&bytes) != recorded {
+        if header_hash(bytes) != recorded {
             return Err(StoreError::Manifest {
                 path: self.dir.join(crate::MANIFEST_FILE),
                 reason: format!("chunk {c} hash on disk disagrees with the manifest record"),
             });
         }
-        Ok(words)
+        Ok(())
     }
 
     /// Append the words of `range` (word indices) to `out`, streaming
     /// chunk by chunk.
     pub fn read_words_into(&self, range: Range<u64>, out: &mut Vec<u64>) -> Result<(), StoreError> {
+        out.reserve(range.end.saturating_sub(range.start) as usize);
+        self.for_each_chunk(range, |c, words| {
+            out.extend_from_slice(&self.read_chunk(c)?[words]);
+            Ok(())
+        })
+    }
+
+    /// Walks the chunks `range` touches, in order, handing `visit` each
+    /// chunk index and the span of that chunk's body words inside
+    /// `range`. Stops at the first error.
+    fn for_each_chunk(
+        &self,
+        range: Range<u64>,
+        mut visit: impl FnMut(u64, Range<usize>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
         assert!(
             range.end <= self.manifest.total_words,
             "range end {} beyond the {}-word table",
             range.end,
             self.manifest.total_words
         );
-        out.reserve(range.end.saturating_sub(range.start) as usize);
         let chunk_words = self.manifest.chunk_words as u64;
         let mut at = range.start;
         while at < range.end {
             let c = at / chunk_words;
             let chunk_range = self.manifest.chunk_range(c);
-            let words = self.read_chunk(c)?;
             let lo = (at - chunk_range.start) as usize;
             let hi = (range.end.min(chunk_range.end) - chunk_range.start) as usize;
-            out.extend_from_slice(&words[lo..hi]);
+            visit(c, lo..hi)?;
             at = chunk_range.end;
         }
         Ok(())
     }
 
     /// Append the words of `range` as little-endian bytes — the layout
-    /// the serve protocol's binary chunk frames carry.
+    /// the serve protocol's binary chunk frames carry. Each chunk is
+    /// validated exactly as [`OpenTable::read_chunk`] does, then its
+    /// body bytes are appended as they lie in the file.
     pub fn read_le_bytes_into(
         &self,
         range: Range<u64>,
         out: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        let mut words = Vec::new();
-        self.read_words_into(range, &mut words)?;
-        out.reserve(words.len() * 8);
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        Ok(())
+        self.for_each_chunk(range, |c, words| {
+            let (path, shape, bytes) = self.read_chunk_image(c)?;
+            let body = validate_chunk(&path, shape, &bytes)?;
+            self.check_recorded_hash(c, &bytes)?;
+            out.extend_from_slice(&body[words.start * 8..words.end * 8]);
+            Ok(())
+        })
     }
 
     /// Load the entire table into memory.
