@@ -5,20 +5,16 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{BatchSimulator, Simulator};
-use hwperm_verify::{
-    exhaustive_check_batched_with, exhaustive_check_scalar_with, expected_permutation_words,
-    BatchedExpectation,
-};
+use hwperm_logic::{SimProgram, Simulator};
+use hwperm_verify::{exhaustive_check_scalar_with, expected_permutation_words, Sweep};
 
 fn bench_exhaustive_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("exhaustive_converter_sweep");
     for n in [4usize, 5, 6] {
         let netlist = converter_netlist(n, ConverterOptions::default());
         let expected = expected_permutation_words(n);
-        let in_bits = netlist.input_port("index").unwrap().nets.len();
-        let out_bits = netlist.output_port("perm").unwrap().nets.len();
-        let table = BatchedExpectation::new(in_bits, out_bits, &expected);
+        let program = SimProgram::compile_shared(netlist.clone());
+        let sweep = Sweep::<u64>::from_program(program, "index", "perm", &expected);
         group.throughput(Throughput::Elements(expected.len() as u64));
 
         let mut scalar = Simulator::new(netlist.clone());
@@ -34,16 +30,12 @@ fn bench_exhaustive_sweep(c: &mut Criterion) {
             })
         });
 
-        let mut batched = BatchSimulator::new(netlist.clone());
+        let mut batched = sweep.simulator();
         group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
             b.iter(|| {
-                exhaustive_check_batched_with(
-                    &mut batched,
-                    black_box("index"),
-                    black_box("perm"),
-                    &table,
-                )
-                .unwrap()
+                sweep
+                    .check_batches(&mut batched, black_box(0..sweep.batches()))
+                    .unwrap()
             })
         });
     }

@@ -4,13 +4,12 @@
 //! parallel verification API cannot silently rot out of the bench.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hwperm_bench::threadbench::repeated_check;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_logic::SimProgram;
-use hwperm_verify::{
-    exhaustive_check_parallel_repeat, expected_permutation_words, BatchedExpectation,
-};
+use hwperm_verify::{expected_permutation_words, Sweep};
 
-/// Sweeps per thread scope: enough work per spawn that the measured
+/// Sweeps per fan-out: enough work per spawn that the measured
 /// steady state is sharded simulation throughput, not thread setup.
 const REPEATS: usize = 16;
 
@@ -19,10 +18,8 @@ fn bench_sharded_sweep(c: &mut Criterion) {
     for n in [5usize, 6] {
         let netlist = converter_netlist(n, ConverterOptions::default());
         let expected = expected_permutation_words(n);
-        let in_bits = netlist.input_port("index").unwrap().nets.len();
-        let out_bits = netlist.output_port("perm").unwrap().nets.len();
-        let table = BatchedExpectation::new(in_bits, out_bits, &expected);
         let program = SimProgram::compile_shared(netlist);
+        let sweep = Sweep::<u64>::from_program(program, "index", "perm", &expected);
         group.throughput(Throughput::Elements((expected.len() * REPEATS) as u64));
 
         for workers in [1usize, 2, 4, 8] {
@@ -30,17 +27,7 @@ fn bench_sharded_sweep(c: &mut Criterion) {
                 BenchmarkId::new(format!("n{n}"), workers),
                 &workers,
                 |b, &workers| {
-                    b.iter(|| {
-                        exhaustive_check_parallel_repeat(
-                            &program,
-                            black_box("index"),
-                            black_box("perm"),
-                            &table,
-                            workers,
-                            REPEATS,
-                        )
-                        .unwrap()
-                    })
+                    b.iter(|| repeated_check(black_box(&sweep), workers, REPEATS).unwrap())
                 },
             );
         }

@@ -17,8 +17,8 @@ use crate::with_commas;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_perm::packed_is_permutation_u64;
 use hwperm_verify::{
-    expected_permutation_words, single_stuck_at_universe, stuck_at_campaign,
-    stuck_at_campaign_scalar, CampaignReport,
+    expected_permutation_words, single_stuck_at_universe, stuck_at_campaign_scalar,
+    stuck_at_campaign_wide, CampaignReport,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -62,7 +62,7 @@ fn run_campaign(n: usize, batched: bool, workers: usize) -> CampaignReport {
     let expected = expected_permutation_words(n);
     let valid = move |word: u64| packed_is_permutation_u64(n, word);
     if batched {
-        stuck_at_campaign(&netlist, "index", "perm", &expected, Some(&valid), workers)
+        stuck_at_campaign_wide::<u64>(&netlist, "index", "perm", &expected, Some(&valid), workers)
     } else {
         stuck_at_campaign_scalar(&netlist, "index", "perm", &expected, Some(&valid))
     }

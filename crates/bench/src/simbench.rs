@@ -13,11 +13,8 @@
 
 use crate::with_commas;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{BatchSimulator, Simulator};
-use hwperm_verify::{
-    exhaustive_check_batched_with, exhaustive_check_scalar_with, expected_permutation_words,
-    BatchedExpectation,
-};
+use hwperm_logic::{SimProgram, Simulator};
+use hwperm_verify::{exhaustive_check_scalar_with, expected_permutation_words, Sweep};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -59,11 +56,10 @@ pub fn measure(n: usize, repeats: usize, rounds: usize) -> SimThroughputRow {
     assert!(repeats > 0 && rounds > 0);
     let netlist = converter_netlist(n, ConverterOptions::default());
     let expected = expected_permutation_words(n);
-    let in_bits = netlist.input_port("index").expect("index port").nets.len();
-    let out_bits = netlist.output_port("perm").expect("perm port").nets.len();
-    let table = BatchedExpectation::new(in_bits, out_bits, &expected);
     let mut scalar = Simulator::new(netlist.clone());
-    let mut batched = BatchSimulator::new(netlist.clone());
+    let program = SimProgram::compile_shared(netlist.clone());
+    let sweep = Sweep::<u64>::from_program(program, "index", "perm", &expected);
+    let mut batched = sweep.simulator();
 
     let mut scalar_ns = u128::MAX;
     let mut batched_ns = u128::MAX;
@@ -77,7 +73,8 @@ pub fn measure(n: usize, repeats: usize, rounds: usize) -> SimThroughputRow {
 
         let t = Instant::now();
         for _ in 0..repeats {
-            exhaustive_check_batched_with(&mut batched, "index", "perm", &table)
+            sweep
+                .check_batches(&mut batched, 0..sweep.batches())
                 .expect("pristine converter passes the batched sweep");
         }
         batched_ns = batched_ns.min(t.elapsed().as_nanos() / repeats as u128);

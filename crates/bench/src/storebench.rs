@@ -17,7 +17,7 @@
 use crate::with_commas;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_store::{build, BuildOptions, OpenTable, TableSource};
-use hwperm_verify::exhaustive_check_batched;
+use hwperm_verify::Sweep;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -118,7 +118,7 @@ pub fn measure_recompute(n: usize, rounds: usize) -> StoreRow {
     let mut words = 0;
     for _ in 0..rounds.max(1) {
         let start = Instant::now();
-        let table = TableSource::Computed { workers: 1 }
+        let table = TableSource::Computed
             .permutation_words(n)
             .expect("recompute table");
         best = best.min(start.elapsed().as_nanos());
@@ -141,7 +141,9 @@ pub fn measure_sweep(n: usize, source: &TableSource, phase: &'static str) -> Sto
     let netlist = converter_netlist(n, ConverterOptions::default());
     let start = Instant::now();
     let expected = source.permutation_words(n).expect("expectation table");
-    exhaustive_check_batched(&netlist, "index", "perm", &expected).expect("converter sweep");
+    Sweep::<u64>::new(&netlist, "index", "perm", &expected)
+        .check(1)
+        .expect("converter sweep");
     let ns_best = start.elapsed().as_nanos();
     StoreRow {
         n,
@@ -164,11 +166,7 @@ pub fn default_matrix() -> Vec<StoreRow> {
         rows.push(measure_build_cold(n, &dir, 1));
         rows.push(measure_load_warm(n, &dir, 3));
         rows.push(measure_recompute(n, 3));
-        rows.push(measure_sweep(
-            n,
-            &TableSource::Computed { workers: 1 },
-            "sweep-computed",
-        ));
+        rows.push(measure_sweep(n, &TableSource::Computed, "sweep-computed"));
         rows.push(measure_sweep(
             n,
             &TableSource::Store { dir: dir.clone() },

@@ -2,13 +2,12 @@
 //!
 //! `simbench` measures what 64 lanes buy over scalar simulation on one
 //! core; this module measures the second axis — how the sharded
-//! [`exhaustive_check_parallel_repeat`] sweep scales with worker
-//! threads over one shared compiled tape. Each cell of the matrix times
-//! the steady state (tape compiled and expectation table transposed
-//! once, `repeats` sweeps per thread scope so spawn cost is amortized,
-//! best-of rounds), exactly mirroring the simbench methodology so the
-//! two tables compose: total speedup over the scalar oracle is
-//! `simbench speedup × threadbench speedup`.
+//! [`Sweep`] scales with worker threads over one shared compiled tape.
+//! Each cell of the matrix times the steady state (tape compiled and
+//! expectation table transposed once, `repeats` sweeps per fan-out so
+//! spawn cost is amortized, best-of rounds), exactly mirroring the
+//! simbench methodology so the two tables compose: total speedup over
+//! the scalar oracle is `simbench speedup × threadbench speedup`.
 //!
 //! Rendered as a text table by the `tables` binary (`threadbench`) and
 //! as a machine-readable record (`threadbench-json`) that CI archives
@@ -22,10 +21,8 @@
 
 use crate::with_commas;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::SimProgram;
-use hwperm_verify::{
-    exhaustive_check_parallel_repeat, expected_permutation_words, BatchedExpectation,
-};
+use hwperm_logic::{SimProgram, SimWord};
+use hwperm_verify::{expected_permutation_words, fan_out, ExhaustiveMismatch, Sweep};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -60,23 +57,48 @@ impl ThreadScalingRow {
     }
 }
 
-/// Measures one (n, workers) cell: `repeats` sweeps per thread scope
+/// Runs `sweep` on `workers` threads with every worker re-checking its
+/// shard `repeats` times inside one [`fan_out`], on one simulator.
+/// Simulation is deterministic, so the result is the single sweep's;
+/// the point is to amortize thread spawn cost when timing steady-state
+/// throughput (a single n = 6 sweep is only 12 batches, far too little
+/// work to cover a spawn).
+///
+/// # Panics
+/// Panics if `workers == 0`.
+pub fn repeated_check<W: SimWord + Send + Sync>(
+    sweep: &Sweep<W>,
+    workers: usize,
+    repeats: usize,
+) -> Result<(), ExhaustiveMismatch> {
+    fan_out(sweep.batches(), workers, |batches| {
+        let mut sim = sweep.simulator();
+        let mut result = Ok(());
+        for _ in 0..repeats {
+            result = sweep.check_batches(&mut sim, batches.clone());
+        }
+        result
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Measures one (n, workers) cell: `repeats` sweeps per fan-out
 /// (amortizing spawn cost into the steady state), best of `rounds`
-/// rounds, over a tape compiled once outside the timed region.
+/// rounds, over a canonical tape compiled once outside the timed
+/// region.
 pub fn measure(n: usize, workers: usize, repeats: usize, rounds: usize) -> ThreadScalingRow {
     assert!(repeats > 0 && rounds > 0);
     let netlist = converter_netlist(n, ConverterOptions::default());
     let expected = expected_permutation_words(n);
-    let in_bits = netlist.input_port("index").expect("index port").nets.len();
-    let out_bits = netlist.output_port("perm").expect("perm port").nets.len();
-    let table = BatchedExpectation::new(in_bits, out_bits, &expected);
     let gates = netlist.len();
     let program = SimProgram::compile_shared(netlist);
+    let sweep = Sweep::<u64>::from_program(program, "index", "perm", &expected);
 
     let mut ns_per_sweep = u128::MAX;
     for _ in 0..rounds {
         let t = Instant::now();
-        exhaustive_check_parallel_repeat(&program, "index", "perm", &table, workers, repeats)
+        repeated_check(&sweep, workers, repeats)
             .expect("pristine converter passes the sharded sweep");
         ns_per_sweep = ns_per_sweep.min(t.elapsed().as_nanos() / repeats as u128);
     }
@@ -185,6 +207,19 @@ fn render_json(rows: &[ThreadScalingRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn repeats_return_the_single_sweep_result() {
+        let netlist = converter_netlist(4, ConverterOptions::default());
+        let mut expected = expected_permutation_words(4);
+        expected[23] ^= 1;
+        let sweep = Sweep::<u64>::new(&netlist, "index", "perm", &expected);
+        for workers in [1usize, 3] {
+            let once = sweep.check(workers);
+            assert_eq!(repeated_check(&sweep, workers, 5), once);
+            assert_eq!(once.unwrap_err().index, 23);
+        }
+    }
 
     #[test]
     fn rows_are_well_formed() {

@@ -21,13 +21,11 @@
 //! release-mode test that first checks
 //! `std::thread::available_parallelism()`.
 
+use crate::threadbench::repeated_check;
 use crate::with_commas;
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_logic::{Netlist, SimProgram, SimWord, Simulator, W256, W512};
-use hwperm_verify::{
-    exhaustive_check_parallel_repeat, exhaustive_check_scalar_with, expected_permutation_words,
-    WideExpectation,
-};
+use hwperm_verify::{exhaustive_check_scalar_with, expected_permutation_words, Sweep};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,20 +115,17 @@ fn measure_word<W: SimWord + Send + Sync>(
     assert!(repeats > 0 && rounds > 0);
     let (netlist, expected) = converter(n);
     let gates = netlist.len();
-    let in_bits = netlist.input_port("index").expect("index port").nets.len();
-    let out_bits = netlist.output_port("perm").expect("perm port").nets.len();
-    let table = WideExpectation::<W>::new(in_bits, out_bits, &expected);
     let program: Arc<SimProgram> = if fused {
         SimProgram::compile_fused_shared(netlist)
     } else {
         SimProgram::compile_shared(netlist)
     };
     let tape_ops = program.stats().ops;
+    let sweep = Sweep::<W>::from_program(program, "index", "perm", &expected);
     let mut ns_per_sweep = u128::MAX;
     for _ in 0..rounds {
         let t = Instant::now();
-        exhaustive_check_parallel_repeat(&program, "index", "perm", &table, workers, repeats)
-            .expect("pristine converter passes the wide sweep");
+        repeated_check(&sweep, workers, repeats).expect("pristine converter passes the wide sweep");
         ns_per_sweep = ns_per_sweep.min(t.elapsed().as_nanos() / repeats as u128);
     }
     WideRow {

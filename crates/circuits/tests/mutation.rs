@@ -10,7 +10,7 @@ use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_logic::{Gate, Netlist, Simulator};
 use hwperm_perm::Permutation;
 use hwperm_verify::{
-    exhaustive_check_batched, exhaustive_check_scalar, expected_permutation_words,
+    exhaustive_check_scalar, expected_permutation_words, ExhaustiveMismatch, Sweep,
 };
 
 /// Packed expectation table for the n = 4 sweep: `pack(unrank(4, i))`
@@ -24,7 +24,12 @@ fn n4_expected() -> Vec<u64> {
 /// batched 64-lane sweep — all 24 indices settle in one netlist walk —
 /// so the full mutant population below stays cheap.
 fn behaves_correctly(netlist: Netlist) -> bool {
-    exhaustive_check_batched(&netlist, "index", "perm", &n4_expected()).is_ok()
+    batched(&netlist, &n4_expected()).is_ok()
+}
+
+/// The sequential 64-lane sweep of `index` → `perm`.
+fn batched(netlist: &Netlist, expected: &[u64]) -> Result<(), ExhaustiveMismatch> {
+    Sweep::<u64>::new(netlist, "index", "perm", expected).check(1)
 }
 
 /// A gate with the same fanin but different function, if one exists.
@@ -108,7 +113,7 @@ fn batched_oracle_matches_scalar_on_every_mutant() {
         mutants += 1;
         let mutant = netlist.with_gate_replaced(i, mutated_gate);
         let scalar = exhaustive_check_scalar(&mutant, "index", "perm", &expected);
-        let batched = exhaustive_check_batched(&mutant, "index", "perm", &expected);
+        let batched = batched(&mutant, &expected);
         assert_eq!(
             scalar, batched,
             "oracle divergence at gate {i}: scalar {scalar:?} vs batched {batched:?}"

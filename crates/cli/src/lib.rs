@@ -21,6 +21,7 @@ use hwperm_logic::{ResourceReport, SimProgram, W256, W512};
 use hwperm_perm::Permutation;
 use hwperm_rng::BiasReport;
 use hwperm_store::TableSource;
+use hwperm_verify::Sweep;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -278,7 +279,7 @@ fn prove_family(
                 Some(dir) => TableSource::Store {
                     dir: dir.to_path_buf(),
                 },
-                None => TableSource::Computed { workers: 1 },
+                None => TableSource::Computed,
             };
             let expected = source
                 .permutation_words(n)
@@ -1477,30 +1478,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     Some(dir) => TableSource::Store {
                         dir: PathBuf::from(dir),
                     },
-                    None => TableSource::Computed { workers: 1 },
+                    None => TableSource::Computed,
                 };
                 let expected = source
                     .permutation_words(n)
                     .map_err(|e| err(format!("store error: {e}")))?;
-                match (jobs, width) {
-                    (Some(workers), 64) => hwperm_verify::exhaustive_check_parallel(
-                        &netlist, "index", "perm", &expected, workers,
-                    ),
-                    (Some(workers), 256) => hwperm_verify::exhaustive_check_parallel_wide::<W256>(
-                        &netlist, "index", "perm", &expected, workers,
-                    ),
-                    (Some(workers), _) => hwperm_verify::exhaustive_check_parallel_wide::<W512>(
-                        &netlist, "index", "perm", &expected, workers,
-                    ),
-                    (None, 64) => hwperm_verify::exhaustive_check_batched(
-                        &netlist, "index", "perm", &expected,
-                    ),
-                    (None, 256) => hwperm_verify::exhaustive_check_batched_wide::<W256>(
-                        &netlist, "index", "perm", &expected,
-                    ),
-                    (None, _) => hwperm_verify::exhaustive_check_batched_wide::<W512>(
-                        &netlist, "index", "perm", &expected,
-                    ),
+                let workers = jobs.unwrap_or(1);
+                match width {
+                    64 => Sweep::<u64>::new(&netlist, "index", "perm", &expected).check(workers),
+                    256 => Sweep::<W256>::new(&netlist, "index", "perm", &expected).check(workers),
+                    _ => Sweep::<W512>::new(&netlist, "index", "perm", &expected).check(workers),
                 }
                 .map_err(|m| err(format!("MISMATCH: {m}")))?;
             } else {

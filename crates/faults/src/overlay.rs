@@ -180,7 +180,7 @@ impl<W: SimWord> OverlaySim<W> {
     }
 
     /// Drives the named input port bit-by-bit with prepacked lane
-    /// words, one word per port bit (the `WideExpectation` layout).
+    /// words, one word per port bit (the `Sweep` table layout).
     ///
     /// # Panics
     /// Panics if the port does not exist or `words` has the wrong width.

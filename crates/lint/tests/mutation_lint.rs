@@ -310,7 +310,7 @@ fn constant_output_bit_fires_const_output() {
 /// this once per mutant, so the 64× fewer netlist walks are what keep
 /// the whole-netlist sweep affordable.
 fn banks_truly_one_hot(netlist: &Netlist) -> bool {
-    hwperm_verify::find_one_hot_violation_batched(netlist, "index").is_none()
+    hwperm_verify::find_one_hot_violation(netlist, "index", 1).is_none()
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! | `rank`          | `hwperm_factoradic::rank_u64`                          |
 //! | `block`         | `hwperm_factoradic::BlockDecoder`, sharded per worker  |
 //! | `random-stream` | `hwperm_core::GuardedPermSource` (fallback policy)     |
-//! | `verify`        | `hwperm_verify::exhaustive_check_parallel_with`        |
+//! | `verify`        | `hwperm_verify::Sweep`, cached per `n`                 |
 //! | `stats`         | server-wide counters                                   |
 //! | `shutdown`      | graceful drain                                         |
 //!

@@ -46,12 +46,10 @@ use crate::protocol::{
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
 use hwperm_factoradic::{rank_u64, BlockDecoder, Unranker};
-use hwperm_logic::{SimProgram, W512};
+use hwperm_logic::W512;
 use hwperm_perm::Permutation;
 use hwperm_store::OpenTable;
-use hwperm_verify::{
-    exhaustive_check_parallel_with, expected_permutation_words, shard_ranges, WideExpectation,
-};
+use hwperm_verify::{expected_permutation_words, shard_ranges, Sweep};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -489,19 +487,6 @@ fn pool_join(pool: &Arc<PoolShared>, workers: Vec<JoinHandle<()>>) {
     }
 }
 
-/// Everything the `verify` handler needs for one `n`, built once and
-/// cached: the compiled simulation tape (shared across worker threads
-/// by `Arc`, exactly like the CLI's sharded sweep) and the
-/// pre-transposed expectation table. The cache runs the fastest
-/// configuration — the opcode-fused tape at 512 lanes per pass — which
-/// is wire-transparent: verdicts and witnesses are byte-identical to
-/// the canonical 64-lane sweep at every width.
-struct VerifyEntry {
-    program: Arc<SimProgram>,
-    table: WideExpectation<W512>,
-    total: u64,
-}
-
 /// One live connection in the registry: a socket clone the sweep and
 /// shutdown paths can half-close, plus its activity clock.
 struct ConnEntry {
@@ -530,7 +515,10 @@ struct Shared {
     /// Only the accept thread increments, so the gate cannot over-admit.
     live_conns: AtomicUsize,
     pool: Arc<PoolShared>,
-    verify_cache: Mutex<HashMap<usize, Arc<VerifyEntry>>>,
+    /// The `verify` handler's plan per `n`, built once: the fused tape
+    /// at 512 lanes per pass, whose verdicts and witnesses are
+    /// byte-identical to the canonical 64-lane sweep's.
+    verify_cache: Mutex<HashMap<usize, Arc<Sweep<W512>>>>,
     store_cache: Mutex<HashMap<usize, Arc<OpenTable>>>,
 }
 
@@ -568,16 +556,16 @@ impl Shared {
         }
     }
 
-    fn verify_entry(&self, n: usize) -> Result<Arc<VerifyEntry>, hwperm_store::StoreError> {
+    fn verify_sweep(&self, n: usize) -> Result<Arc<Sweep<W512>>, hwperm_store::StoreError> {
         {
             let cache = self.verify_cache.lock().expect("verify cache lock");
-            if let Some(entry) = cache.get(&n) {
-                return Ok(Arc::clone(entry));
+            if let Some(sweep) = cache.get(&n) {
+                return Ok(Arc::clone(sweep));
             }
         }
         // Expectation words come from the store when warm — cold-start
         // cost becomes a sequential read — and are computed otherwise;
-        // the words are byte-identical either way, so the cached entry
+        // the words are byte-identical either way, so the cached sweep
         // (and every verdict) is too. Built outside the cache lock so
         // a slow build doesn't serialize unrelated verifies.
         let expected = match self.open_store(n)? {
@@ -585,15 +573,9 @@ impl Shared {
             None => expected_permutation_words(n),
         };
         let netlist = converter_netlist(n, ConverterOptions::default());
-        let in_bits = netlist.input_port("index").expect("index port").nets.len();
-        let out_bits = netlist.output_port("perm").expect("perm port").nets.len();
-        let entry = Arc::new(VerifyEntry {
-            table: WideExpectation::<W512>::new(in_bits, out_bits, &expected),
-            total: expected.len() as u64,
-            program: SimProgram::compile_fused_shared(netlist),
-        });
+        let sweep = Arc::new(Sweep::new(&netlist, "index", "perm", &expected));
         let mut cache = self.verify_cache.lock().expect("verify cache lock");
-        Ok(Arc::clone(cache.entry(n).or_insert(entry)))
+        Ok(Arc::clone(cache.entry(n).or_insert(sweep)))
     }
 
     /// The drain / idle budget in effect: the configured idle timeout,
@@ -1010,8 +992,8 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                 ctx.respond_deadline("verify", id);
                 return;
             }
-            let entry = match ctx.shared.verify_entry(n) {
-                Ok(entry) => entry,
+            let sweep = match ctx.shared.verify_sweep(n) {
+                Ok(sweep) => sweep,
                 Err(e) => {
                     ctx.respond(
                         "verify",
@@ -1022,18 +1004,12 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                     return;
                 }
             };
-            match exhaustive_check_parallel_with(
-                &entry.program,
-                "index",
-                "perm",
-                &entry.table,
-                jobs,
-            ) {
+            match sweep.check(jobs) {
                 Ok(()) => {
                     let results = format!(
                         "{{\"type\":\"verify\",\"n\":{n},\"workers\":{jobs},\"total\":{},\
                          \"verdict\":\"ok\"}}",
-                        entry.total,
+                        sweep.len(),
                     );
                     ctx.respond("verify", true, &results, id);
                 }
@@ -1042,7 +1018,7 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                         "{{\"type\":\"verify\",\"n\":{n},\"workers\":{jobs},\"total\":{},\
                          \"verdict\":\"mismatch\",\"index\":{},\"port\":\"{}\",\
                          \"got\":{},\"want\":{}}}",
-                        entry.total,
+                        sweep.len(),
                         m.index,
                         crate::json::escape(&m.port),
                         m.got,

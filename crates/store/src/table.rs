@@ -252,11 +252,8 @@ pub fn stat(store_dir: &Path, n: usize) -> Result<Option<StoreStat>, StoreError>
 /// missing or broken table is an error, never a silent recompute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TableSource {
-    /// Compute the table with `expected_permutation_words[_parallel]`.
-    Computed {
-        /// Worker threads for the sharded computation.
-        workers: usize,
-    },
+    /// Compute the table with `expected_permutation_words`.
+    Computed,
     /// Load the table from a persisted store.
     Store {
         /// The store root directory.
@@ -268,11 +265,7 @@ impl TableSource {
     /// The full `[0, n!)` table of packed permutation words.
     pub fn permutation_words(&self, n: usize) -> Result<Vec<u64>, StoreError> {
         match self {
-            TableSource::Computed { workers } => Ok(if *workers <= 1 {
-                hwperm_verify::expected_permutation_words(n)
-            } else {
-                hwperm_verify::expected_permutation_words_parallel(n, *workers)
-            }),
+            TableSource::Computed => Ok(hwperm_verify::expected_permutation_words(n)),
             TableSource::Store { dir } => match OpenTable::open(dir, n)? {
                 Some(table) => table.load_words(),
                 None => Err(StoreError::Missing {
@@ -280,14 +273,6 @@ impl TableSource {
                     n,
                 }),
             },
-        }
-    }
-
-    /// Human-readable description for reports and envelopes.
-    pub fn describe(&self) -> String {
-        match self {
-            TableSource::Computed { workers } => format!("computed (workers = {workers})"),
-            TableSource::Store { dir } => format!("store ({})", dir.display()),
         }
     }
 }
@@ -389,9 +374,7 @@ mod tests {
     #[test]
     fn table_source_variants_agree_and_store_is_strict() {
         let store = built_store("src", 5, 32);
-        let computed = TableSource::Computed { workers: 2 }
-            .permutation_words(5)
-            .unwrap();
+        let computed = TableSource::Computed.permutation_words(5).unwrap();
         let loaded = TableSource::Store { dir: store.clone() }
             .permutation_words(5)
             .unwrap();
@@ -404,10 +387,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StoreError::Missing { n: 6, .. }), "{err}");
 
-        assert_eq!(
-            TableSource::Computed { workers: 4 }.describe(),
-            "computed (workers = 4)"
-        );
         std::fs::remove_dir_all(&store).unwrap();
     }
 }

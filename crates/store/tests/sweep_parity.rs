@@ -32,9 +32,7 @@ fn warm_store(tag: &str) -> PathBuf {
 #[test]
 fn store_backed_and_computed_tables_are_byte_identical() {
     let store = warm_store("bytes");
-    let computed = TableSource::Computed { workers: 3 }
-        .permutation_words(N)
-        .unwrap();
+    let computed = TableSource::Computed.permutation_words(N).unwrap();
     let loaded = TableSource::Store { dir: store.clone() }
         .permutation_words(N)
         .unwrap();
@@ -48,9 +46,7 @@ fn correct_converter_passes_both_sources_at_every_width() {
     let store = warm_store("pass");
     let netlist = converter_netlist(N, ConverterOptions::default());
     for table in [
-        TableSource::Computed { workers: 1 }
-            .permutation_words(N)
-            .unwrap(),
+        TableSource::Computed.permutation_words(N).unwrap(),
         TableSource::Store { dir: store.clone() }
             .permutation_words(N)
             .unwrap(),
@@ -75,11 +71,7 @@ fn first_mismatch_witness_is_identical_across_sources_and_widths() {
         table[90] ^= 0b11;
         table
     };
-    let computed = poison(
-        TableSource::Computed { workers: 2 }
-            .permutation_words(N)
-            .unwrap(),
-    );
+    let computed = poison(TableSource::Computed.permutation_words(N).unwrap());
     let loaded = poison(
         TableSource::Store { dir: store.clone() }
             .permutation_words(N)

@@ -24,9 +24,8 @@
 //!
 //! Witnesses are deterministic: each fault reports the lowest diverging
 //! index (and, for silent faults, the lowest *validly* diverging
-//! index). Sharding follows the same contiguous ascending
-//! `shard_ranges` split as the exhaustive sweeps; verdicts are
-//! per-fault and independent of batch companions — and independent of
+//! index). The fault universe is sharded by the same [`fan_out`] as
+//! the exhaustive sweeps; verdicts are per-fault and independent of batch companions — and independent of
 //! lane *width* — so the report is byte-identical for every worker
 //! count and every `SimWord` width.
 //!
@@ -34,8 +33,7 @@
 //! arbitrary nets, and opcode fusion elides nets, which would make the
 //! fault universe unresolvable.
 
-use crate::exhaustive::port_width_checked;
-use crate::parallel::shard_ranges;
+use crate::sweep::{fan_out, port_width_checked};
 use hwperm_faults::{FaultSpec, FaultySim, OverlaySim};
 use hwperm_logic::{BatchSimulator, NetId, Netlist, SimProgram, SimWord, LANES};
 use std::sync::Arc;
@@ -236,37 +234,21 @@ fn campaign_program(
 
 /// Runs the single-stuck-at campaign over `netlist`, sweeping every
 /// fault against `expected` (element `i` = golden output word at input
-/// index `i`) on `workers` threads. `valid` is the optional cheap
-/// validity predicate a runtime guard would apply (e.g. packed
-/// permutation validity); with `None`, every observable fault counts
-/// as detected.
+/// index `i`) on `workers` threads ([`fan_out`]; inline for one
+/// worker). Each worker retires [`SimWord::LANES`] faults per tape
+/// walk — 64 at `u64`, 256 at [`W256`](hwperm_logic::W256), 512 at
+/// [`W512`](hwperm_logic::W512). `valid` is the optional cheap validity
+/// predicate a runtime guard would apply (e.g. packed permutation
+/// validity); with `None`, every observable fault counts as detected.
 ///
-/// Deterministic: the report is byte-identical for every worker count.
+/// Deterministic: the report is byte-identical for every worker count
+/// and every width (verdicts and witnesses are per-lane, never
+/// influenced by batch companions).
 ///
 /// # Panics
 /// Panics if `workers == 0`, the netlist has registers, either port is
 /// missing, the input port cannot represent every index, or either
 /// port exceeds the 64-bit `u64` fast path.
-pub fn stuck_at_campaign(
-    netlist: &Netlist,
-    input: &str,
-    output: &str,
-    expected: &[u64],
-    valid: Option<&(dyn Fn(u64) -> bool + Sync)>,
-    workers: usize,
-) -> CampaignReport {
-    stuck_at_campaign_wide::<u64>(netlist, input, output, expected, valid, workers)
-}
-
-/// Width-generic [`stuck_at_campaign`]: each worker retires
-/// [`SimWord::LANES`] faults per tape walk — 64 at `u64`, 256 at
-/// [`W256`](hwperm_logic::W256), 512 at [`W512`](hwperm_logic::W512).
-/// The report is byte-identical across widths (verdicts and witnesses
-/// are per-lane, never influenced by batch companions) as well as
-/// across worker counts.
-///
-/// # Panics
-/// Same conditions as [`stuck_at_campaign`].
 pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
     netlist: &Netlist,
     input: &str,
@@ -277,34 +259,20 @@ pub fn stuck_at_campaign_wide<W: SimWord + Send + Sync>(
 ) -> CampaignReport {
     let program = campaign_program(netlist, input, output, expected);
     let universe = single_stuck_at_universe(netlist);
-    let shards = shard_ranges(universe.len(), workers);
-    let chunks: Vec<Vec<FaultVerdict>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                let program = Arc::clone(&program);
-                let faults = &universe[shard];
-                scope.spawn(move || {
-                    campaign_range::<W>(&program, faults, input, output, expected, valid)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
+    let chunks = fan_out(universe.len(), workers, |shard| {
+        campaign_range::<W>(&program, &universe[shard], input, output, expected, valid)
     });
     CampaignReport {
         verdicts: chunks.concat(),
     }
 }
 
-/// Scalar reference implementation of [`stuck_at_campaign`]: one
+/// Scalar reference implementation of [`stuck_at_campaign_wide`]: one
 /// [`FaultySim`] per fault, one tape walk per (fault, index) pair. Kept
 /// for verdict parity and as the baseline side of `tables faultbench`.
 ///
 /// # Panics
-/// Same conditions as [`stuck_at_campaign`] (minus `workers`).
+/// Same conditions as [`stuck_at_campaign_wide`] (minus `workers`).
 pub fn stuck_at_campaign_scalar(
     netlist: &Netlist,
     input: &str,
@@ -396,7 +364,7 @@ mod tests {
         let nl = converter_netlist(n, ConverterOptions::default());
         let expected = expected_permutation_words(n);
         let valid = move |word: u64| packed_is_permutation_u64(n, word);
-        stuck_at_campaign(&nl, "index", "perm", &expected, Some(&valid), workers)
+        stuck_at_campaign_wide::<u64>(&nl, "index", "perm", &expected, Some(&valid), workers)
     }
 
     #[test]
@@ -433,7 +401,7 @@ mod tests {
         let nl = b.finish();
         let expected = golden_output_words(&nl, "x", "y");
         assert_eq!(expected, [0, 0, 0, 1]);
-        let report = stuck_at_campaign(&nl, "x", "y", &expected, None, 2);
+        let report = stuck_at_campaign_wide::<u64>(&nl, "x", "y", &expected, None, 2);
         // Every fault in this tiny universe is observable.
         assert_eq!(report.total(), 6);
         assert_eq!(report.detected(), 6);
@@ -462,7 +430,7 @@ mod tests {
         b.output_bus("y", &[y]);
         let nl = b.finish();
         let expected = golden_output_words(&nl, "x", "y");
-        let report = stuck_at_campaign(&nl, "x", "y", &expected, None, 1);
+        let report = stuck_at_campaign_wide::<u64>(&nl, "x", "y", &expected, None, 1);
         let and_sa0 = report
             .verdicts
             .iter()
@@ -485,7 +453,8 @@ mod tests {
         let nl = converter_netlist(n, ConverterOptions::default());
         let expected = expected_permutation_words(n);
         let valid = move |word: u64| packed_is_permutation_u64(n, word);
-        let batched = stuck_at_campaign(&nl, "index", "perm", &expected, Some(&valid), 3);
+        let batched =
+            stuck_at_campaign_wide::<u64>(&nl, "index", "perm", &expected, Some(&valid), 3);
         let scalar = stuck_at_campaign_scalar(&nl, "index", "perm", &expected, Some(&valid));
         assert_eq!(batched, scalar);
     }
@@ -500,14 +469,15 @@ mod tests {
         let nl = converter_netlist(n, ConverterOptions::default());
         let expected = expected_permutation_words(n);
         let valid = move |word: u64| packed_is_permutation_u64(n, word);
-        let narrow = stuck_at_campaign(&nl, "index", "perm", &expected, Some(&valid), 2);
+        let narrow =
+            stuck_at_campaign_wide::<u64>(&nl, "index", "perm", &expected, Some(&valid), 2);
         let w256 = stuck_at_campaign_wide::<W256>(&nl, "index", "perm", &expected, Some(&valid), 2);
         let w512 = stuck_at_campaign_wide::<W512>(&nl, "index", "perm", &expected, Some(&valid), 2);
         assert_eq!(narrow, w256);
         assert_eq!(narrow, w512);
         // And without a validity predicate, where the retirement logic
         // takes the other branch.
-        let narrow = stuck_at_campaign(&nl, "index", "perm", &expected, None, 3);
+        let narrow = stuck_at_campaign_wide::<u64>(&nl, "index", "perm", &expected, None, 3);
         let w256 = stuck_at_campaign_wide::<W256>(&nl, "index", "perm", &expected, None, 3);
         assert_eq!(narrow, w256);
     }
@@ -580,6 +550,6 @@ mod tests {
         let x = b.input_bus("x", 1);
         let q = b.dff(x[0], false);
         b.output_bus("y", &[q]);
-        let _ = stuck_at_campaign(&b.finish(), "x", "y", &[0, 0], None, 1);
+        let _ = stuck_at_campaign_wide::<u64>(&b.finish(), "x", "y", &[0, 0], None, 1);
     }
 }

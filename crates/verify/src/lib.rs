@@ -12,18 +12,14 @@
 //! converter equals software unranking for every index (not just the
 //! sampled ones), with out-of-range indices treated as don't-cares.
 //!
-//! The symbolic layer is complemented by a batched *simulation* layer
-//! ([`exhaustive_check_batched`], [`find_one_hot_violation_batched`]):
-//! exhaustive sweeps through the word-level `BatchSim`, one word of
-//! indices per netlist walk — 64 lanes at `u64`, 256/512 at the wide
-//! words via [`exhaustive_check_batched_wide`] — used where a concrete
-//! first-mismatch witness (or a BDD-independent cross-check) is
-//! wanted. A third, sharded layer ([`exhaustive_check_parallel`],
-//! [`exhaustive_check_parallel_wide`],
-//! [`find_one_hot_violation_parallel`]) fans the batched sweep out over
-//! OS threads — contiguous per-worker index blocks over one shared
-//! compiled tape — with the same deterministic lowest-index reporting
-//! as the sequential sweeps, at every lane width.
+//! The symbolic layer is complemented by a simulation layer: a
+//! [`Sweep`] drives every index through the word-level `BatchSim` —
+//! 64, 256 or 512 indices per walk of one shared compiled tape — and
+//! compares the outputs against an expectation table, on as many
+//! worker threads as asked for ([`fan_out`]), always reporting the
+//! same lowest-index first mismatch. It is used where a concrete
+//! witness (or a BDD-independent cross-check) is wanted;
+//! [`find_one_hot_violation`] is its one-hot bank counterpart.
 //!
 //! ```
 //! use hwperm_logic::Builder;
@@ -45,28 +41,22 @@
 //! ```
 
 //!
-//! A fourth layer turns the sweeps inward: [`stuck_at_campaign`] runs
-//! the single-stuck-at fault universe of a netlist through 64-lane
-//! fault overlays (`hwperm-faults`), classifying every fault as
+//! A third layer turns the sweeps inward: [`stuck_at_campaign_wide`]
+//! runs the single-stuck-at fault universe of a netlist through
+//! word-wide fault overlays (`hwperm-faults`), classifying every fault as
 //! detected, silent, or masked against the golden table — the
 //! measurement side of the robustness story whose runtime side is
 //! `hwperm_core`'s guarded streams.
 
 mod campaign;
-mod exhaustive;
 mod miter;
 mod onehot;
 mod oracle;
-mod parallel;
+mod sweep;
 
 pub use campaign::{
-    golden_output_words, single_stuck_at_universe, stuck_at_campaign, stuck_at_campaign_scalar,
+    golden_output_words, single_stuck_at_universe, stuck_at_campaign_scalar,
     stuck_at_campaign_wide, CampaignReport, FaultOutcome, FaultVerdict,
-};
-pub use exhaustive::{
-    exhaustive_check_batched, exhaustive_check_batched_wide, exhaustive_check_batched_with,
-    exhaustive_check_scalar, exhaustive_check_scalar_with, find_one_hot_violation_batched,
-    BatchedExpectation, ExhaustiveMismatch, WideExpectation,
 };
 pub use miter::{
     prove_against_table, prove_against_table_budgeted, prove_equivalent, prove_equivalent_budgeted,
@@ -80,9 +70,10 @@ pub use oracle::{
     expected_combination_words, expected_permutation_words, expected_permutation_words_parallel,
     expected_variation_words,
 };
-pub use parallel::{
-    exhaustive_check_parallel, exhaustive_check_parallel_repeat, exhaustive_check_parallel_wide,
-    exhaustive_check_parallel_with, find_one_hot_violation_parallel, shard_ranges,
+pub use sweep::{
+    exhaustive_check_batched_wide, exhaustive_check_parallel_wide, exhaustive_check_scalar,
+    exhaustive_check_scalar_with, fan_out, find_one_hot_violation, shard_ranges,
+    ExhaustiveMismatch, Sweep,
 };
 
 use hwperm_bdd::{Manager, NodeId};

@@ -19,7 +19,7 @@
 //! counterexample and a sweep counterexample for the same fault read
 //! identically.
 
-use crate::exhaustive::ExhaustiveMismatch;
+use crate::sweep::ExhaustiveMismatch;
 use crate::VerifyError;
 use hwperm_logic::{Netlist, SimProgram};
 use hwperm_sat::{
@@ -265,7 +265,7 @@ pub fn prove_equivalent_budgeted(
 /// # Panics
 /// Panics if either port is missing, the input port cannot represent
 /// every index, or a port exceeds the 64-bit witness path (the same
-/// contract as [`crate::exhaustive_check_batched`]).
+/// contract as [`crate::Sweep`]).
 pub fn prove_against_table(
     netlist: &Netlist,
     input: &str,
@@ -286,7 +286,7 @@ pub fn prove_against_table_budgeted(
     if netlist.register_count() > 0 {
         return Err(VerifyError::Sequential);
     }
-    crate::exhaustive::port_width_checked(netlist, input, output, expected.len());
+    crate::sweep::port_width_checked(netlist, input, output, expected.len());
     let program = SimProgram::compile(netlist.clone());
     let mut cnf = Cnf::new();
     let frame = encode_combinational(&program, &mut cnf);

@@ -6,11 +6,16 @@
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_logic::{Gate, Simulator};
 use hwperm_verify::{
-    exhaustive_check_batched, exhaustive_check_scalar, expected_permutation_words,
+    exhaustive_check_scalar, expected_permutation_words, ExhaustiveMismatch, Sweep,
 };
 
 fn converter(n: usize) -> hwperm_logic::Netlist {
     converter_netlist(n, ConverterOptions::default())
+}
+
+/// The sequential 64-lane sweep of the converter's `index` → `perm`.
+fn batched(netlist: &hwperm_logic::Netlist, expected: &[u64]) -> Result<(), ExhaustiveMismatch> {
+    Sweep::<u64>::new(netlist, "index", "perm", expected).check(1)
 }
 
 #[test]
@@ -18,11 +23,7 @@ fn converter_n4_to_n6_pass_the_batched_sweep() {
     for n in 4..=6 {
         let netlist = converter(n);
         let expected = expected_permutation_words(n);
-        assert_eq!(
-            exhaustive_check_batched(&netlist, "index", "perm", &expected),
-            Ok(()),
-            "n = {n}"
-        );
+        assert_eq!(batched(&netlist, &expected), Ok(()), "n = {n}");
     }
 }
 
@@ -31,10 +32,7 @@ fn converter_n4_to_n6_pass_the_batched_sweep() {
 fn converter_n7_passes_the_batched_sweep() {
     let netlist = converter(7);
     let expected = expected_permutation_words(7);
-    assert_eq!(
-        exhaustive_check_batched(&netlist, "index", "perm", &expected),
-        Ok(())
-    );
+    assert_eq!(batched(&netlist, &expected), Ok(()));
 }
 
 /// The minimal mismatching index found by a third, independent walk:
@@ -65,7 +63,7 @@ fn first_mismatch_report_is_lane_exact_on_mutants() {
             _ => continue,
         };
         let mutant = netlist.with_gate_replaced(i, swapped);
-        let batched = exhaustive_check_batched(&mutant, "index", "perm", &expected);
+        let batched = batched(&mutant, &expected);
         let scalar = exhaustive_check_scalar(&mutant, "index", "perm", &expected);
         assert_eq!(scalar, batched, "verdicts diverge on mutant of gate {i}");
         if let Err(m) = batched {
@@ -96,8 +94,7 @@ fn seeded_expectation_error_pinpoints_its_lane() {
     for &bad in &[0u64, 37, 63, 64, 100, 119] {
         let mut expected = expected_permutation_words(5);
         expected[bad as usize] ^= 1; // poison one index's expectation
-        let err = exhaustive_check_batched(&netlist, "index", "perm", &expected)
-            .expect_err("poisoned table must fail");
+        let err = batched(&netlist, &expected).expect_err("poisoned table must fail");
         assert_eq!(err.index, bad, "wrong index surfaced");
         assert_eq!(err.got, err.want ^ 1);
     }

@@ -1,23 +1,24 @@
-//! Determinism parity of the sharded sweep against the sequential
-//! oracles, over the mutation suite.
+//! Determinism parity of the sweep engine against the scalar reference
+//! sweep, over the mutation suite.
 //!
-//! The deterministic-reporting guarantee in `hwperm_verify::parallel`
-//! says [`exhaustive_check_parallel`] returns *byte-identical* results
-//! to [`exhaustive_check_batched`] (and the scalar reference sweep) for
-//! every worker count. A clean netlist only exercises the `Ok` side of
-//! that claim, so this suite drives the interesting side with the same
+//! The deterministic-reporting guarantee in `hwperm_verify::Sweep` says
+//! [`Sweep::check`] returns *byte-identical* results to
+//! [`exhaustive_check_scalar`] at every lane width and every worker
+//! count. A clean netlist only exercises the `Ok` side of that claim,
+//! so this suite drives the interesting side with the same
 //! fault-injection population the circuits crate uses: every
 //! fanin-preserving single-gate mutation of the Fig. 1 converter, each
 //! checked for identical verdict AND identical first-mismatch witness
-//! (index, port, got, want) at 1, 2, 3 and 8 workers — plus the same
-//! parity for the one-hot bank sweep and a property test over randomly
-//! corrupted expectation tables.
+//! (index, port, got, want) at `u64`, `W256` and `W512` lanes and 1, 2,
+//! 3 and 8 workers — plus worker-count parity for the one-hot bank
+//! sweep and a property test over randomly corrupted expectation
+//! tables.
 
 use hwperm_circuits::{converter_netlist, ConverterOptions};
-use hwperm_logic::{Gate, Netlist};
+use hwperm_logic::{Gate, Netlist, W256, W512};
 use hwperm_verify::{
-    exhaustive_check_batched, exhaustive_check_parallel, exhaustive_check_scalar,
-    expected_permutation_words, find_one_hot_violation_batched, find_one_hot_violation_parallel,
+    exhaustive_check_scalar, expected_permutation_words, find_one_hot_violation,
+    ExhaustiveMismatch, Sweep,
 };
 use proptest::prelude::*;
 
@@ -55,18 +56,37 @@ fn mutants(netlist: &Netlist) -> Vec<(usize, Netlist)> {
         .collect()
 }
 
+/// Every `Sweep::check` report for `netlist` against `expected`: one per
+/// (lane width, worker count), labelled for assertion messages.
+fn sweep_reports(
+    netlist: &Netlist,
+    expected: &[u64],
+    workers: &[usize],
+) -> Vec<(String, Result<(), ExhaustiveMismatch>)> {
+    let u64s = Sweep::<u64>::new(netlist, "index", "perm", expected);
+    let w256 = Sweep::<W256>::new(netlist, "index", "perm", expected);
+    let w512 = Sweep::<W512>::new(netlist, "index", "perm", expected);
+    let mut reports = Vec::new();
+    for &k in workers {
+        reports.push((format!("u64, {k} workers"), u64s.check(k)));
+        reports.push((format!("W256, {k} workers"), w256.check(k)));
+        reports.push((format!("W512, {k} workers"), w512.check(k)));
+    }
+    reports
+}
+
 #[test]
-fn parallel_first_mismatch_matches_sequential_on_every_mutant() {
+fn sweep_first_mismatch_matches_scalar_on_every_mutant() {
     let netlist = converter_netlist(4, ConverterOptions::default());
     let expected = expected_permutation_words(4);
 
-    // Ok-side parity first: the pristine converter passes every oracle.
-    for workers in WORKER_COUNTS {
-        assert_eq!(
-            exhaustive_check_parallel(&netlist, "index", "perm", &expected, workers),
-            Ok(()),
-            "pristine netlist, {workers} workers"
-        );
+    // Ok-side parity first: the pristine converter passes every sweep.
+    assert_eq!(
+        exhaustive_check_scalar(&netlist, "index", "perm", &expected),
+        Ok(())
+    );
+    for (what, report) in sweep_reports(&netlist, &expected, &WORKER_COUNTS) {
+        assert_eq!(report, Ok(()), "pristine netlist, {what}");
     }
 
     let population = mutants(&netlist);
@@ -78,19 +98,13 @@ fn parallel_first_mismatch_matches_sequential_on_every_mutant() {
     let mut killed = 0usize;
     for (gate, mutant) in &population {
         let scalar = exhaustive_check_scalar(mutant, "index", "perm", &expected);
-        let batched = exhaustive_check_batched(mutant, "index", "perm", &expected);
-        assert_eq!(
-            scalar, batched,
-            "gate {gate}: scalar and batched oracles diverge"
-        );
-        if batched.is_err() {
+        if scalar.is_err() {
             killed += 1;
         }
-        for workers in WORKER_COUNTS {
-            let parallel = exhaustive_check_parallel(mutant, "index", "perm", &expected, workers);
+        for (what, report) in sweep_reports(mutant, &expected, &WORKER_COUNTS) {
             assert_eq!(
-                parallel, batched,
-                "gate {gate}, {workers} workers: sharded sweep diverges from sequential"
+                report, scalar,
+                "gate {gate}, {what}: sweep diverges from the scalar reference"
             );
         }
     }
@@ -118,13 +132,13 @@ fn one_hot_parallel_matches_sequential_on_every_mutant() {
     );
     let mut violating = 0usize;
     for (gate, mutant) in &mutants(&netlist) {
-        let sequential = find_one_hot_violation_batched(mutant, "index");
+        let sequential = find_one_hot_violation(mutant, "index", 1);
         if sequential.is_some() {
             violating += 1;
         }
         for workers in WORKER_COUNTS {
             assert_eq!(
-                find_one_hot_violation_parallel(mutant, "index", workers),
+                find_one_hot_violation(mutant, "index", workers),
                 sequential,
                 "gate {gate}, {workers} workers: one-hot witness diverges"
             );
@@ -137,15 +151,16 @@ fn one_hot_parallel_matches_sequential_on_every_mutant() {
 }
 
 proptest! {
-    // Each case runs a scalar, a batched and a sharded exhaustive sweep
-    // over all 120 indices of the n = 5 converter, so modest case
-    // counts cover thousands of cross-checked vectors.
+    // Each case runs a scalar sweep and six engine sweeps (three lane
+    // widths at two worker counts) over all 120 indices of the n = 5
+    // converter, so modest case counts cover thousands of cross-checked
+    // vectors.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomly corrupted expectation tables: whatever the lowest
     /// corrupted-and-detected index turns out to be (including none,
-    /// when xor pairs cancel), all three sweeps must report the exact
-    /// same result at an arbitrary worker count.
+    /// when xor pairs cancel), every sweep must report the exact same
+    /// result as the scalar reference at an arbitrary worker count.
     #[test]
     fn corrupted_tables_report_identically(
         corruptions in prop::collection::vec((0usize..120, 1u64..16), 0..6),
@@ -156,13 +171,9 @@ proptest! {
         for &(index, mask) in &corruptions {
             expected[index] ^= mask;
         }
-        let batched = exhaustive_check_batched(&netlist, "index", "perm", &expected);
         let scalar = exhaustive_check_scalar(&netlist, "index", "perm", &expected);
-        prop_assert_eq!(&scalar, &batched);
-        for workers in [1, workers] {
-            let parallel =
-                exhaustive_check_parallel(&netlist, "index", "perm", &expected, workers);
-            prop_assert_eq!(&parallel, &batched);
+        for (what, report) in sweep_reports(&netlist, &expected, &[1, workers]) {
+            prop_assert_eq!(&report, &scalar, "{}", what);
         }
     }
 }
