@@ -3,41 +3,60 @@
 //! ```text
 //! cargo run --release -p hwperm-bench --bin tables -- all
 //! cargo run --release -p hwperm-bench --bin tables -- table2
+//! cargo run --release -p hwperm-bench --bin tables -- simbench-json > BENCH_sim.json
 //! ```
 //!
-//! Subcommands: `table1 table2 table3 table4 fig1 fig3 bias fig4
-//! derangements naive sorter parallel cascade rank variations prove
-//! simbench threadbench oraclebench faultbench verify all` (plus
-//! `fig4-netlist` to run Fig. 4 on the gate-level simulation instead
-//! of the bit-exact mirror, `simbench-json` to emit the
-//! scalar-vs-batched record CI stores as `BENCH_sim.json`,
-//! `threadbench-json` for the workers × n scaling matrix CI stores as
-//! `BENCH_parallel.json`, `oraclebench-json` for the table-generation
-//! matrix CI stores as `BENCH_oracle.json`, `faultbench-json` for
-//! the stuck-at campaign matrix CI stores as `BENCH_faults.json`, and
-//! `provebench-json` for the SAT proof-obligation matrix CI stores as
-//! `BENCH_prove.json`, `servebench-json` for the wire-protocol
-//! throughput matrix CI stores as `BENCH_serve.json`, and
-//! `widebench-json` for the lane-width × workers × fusion matrix CI
-//! stores as `BENCH_wide.json`, and `storebench-json` for the
-//! persisted-store cold/warm/recompute matrix CI stores as
-//! `BENCH_store.json`, and `chaosbench-json` for the
-//! throughput-under-faults matrix CI stores as `BENCH_chaos.json`).
+//! Subcommands: the paper experiments `table1 table2 table3 table4
+//! fig1 fig3 bias fig4 fig4-netlist derangements naive sorter parallel
+//! verify cascade rank variations prove`, `all`, and for each
+//! measurement bench in [`BENCHES`] (`simbench threadbench widebench
+//! oraclebench faultbench provebench servebench storebench
+//! chaosbench`) both `<bench>`, its text table, and `<bench>-json`,
+//! its record in the common `BENCH_*.json` shape of
+//! [`hwperm_bench::record`], which CI archives as `BENCH_*.json`.
 
 use hwperm_bench::{
     baselines, chaosbench, extensions, faultbench, figures, oraclebench, provebench, resources,
     servebench, simbench, storebench, tables, threadbench, widebench,
 };
 
+/// The measurement benches: subcommand name, text table, JSON record.
+type Bench = (&'static str, fn() -> String, fn() -> String);
+
+const BENCHES: [Bench; 9] = [
+    ("simbench", simbench::text, simbench::json),
+    ("threadbench", threadbench::text, threadbench::json),
+    ("widebench", widebench::text, widebench::json),
+    ("oraclebench", oraclebench::text, oraclebench::json),
+    ("faultbench", faultbench::text, faultbench::json),
+    ("provebench", provebench::text, provebench::json),
+    ("servebench", servebench::text, servebench::json),
+    ("storebench", storebench::text, storebench::json),
+    ("chaosbench", chaosbench::text, chaosbench::json),
+];
+
 fn usage() -> ! {
+    let benches: Vec<String> = BENCHES
+        .iter()
+        .map(|(name, ..)| format!("{name} {name}-json"))
+        .collect();
     eprintln!(
         "usage: tables <experiment>\n  experiments: table1 table2 table3 table4 fig1 fig3 bias \
          fig4 fig4-netlist derangements naive sorter parallel verify cascade rank variations prove \
-         simbench simbench-json threadbench threadbench-json widebench widebench-json \
-         oraclebench oraclebench-json faultbench faultbench-json provebench provebench-json \
-         servebench servebench-json storebench storebench-json chaosbench chaosbench-json all"
+         {} all",
+        benches.join(" ")
     );
     std::process::exit(2);
+}
+
+/// The bench named `name` (`<bench>` or `<bench>-json`), rendered.
+fn bench(name: &str) -> Option<String> {
+    let (base, json) = match name.strip_suffix("-json") {
+        Some(base) => (base, true),
+        None => (name, false),
+    };
+    let &(_, text, record) = BENCHES.iter().find(|(b, ..)| *b == base)?;
+    Some(if json { record() } else { text() })
 }
 
 fn main() {
@@ -62,28 +81,13 @@ fn main() {
         "prove" => print!("{}", extensions::prove()),
         "rank" => print!("{}", extensions::rank_circuit()),
         "variations" => print!("{}", extensions::variations()),
-        "simbench" => print!("{}", simbench::sim_throughput_text()),
-        "simbench-json" => print!("{}", simbench::sim_throughput_json()),
-        "threadbench" => print!("{}", threadbench::thread_scaling_text()),
-        "threadbench-json" => print!("{}", threadbench::thread_scaling_json()),
-        "widebench" => print!("{}", widebench::wide_word_text()),
-        "widebench-json" => print!("{}", widebench::wide_word_json()),
-        "oraclebench" => print!("{}", oraclebench::oracle_throughput_text()),
-        "oraclebench-json" => print!("{}", oraclebench::oracle_throughput_json()),
-        "faultbench" => print!("{}", faultbench::fault_campaign_text()),
-        "faultbench-json" => print!("{}", faultbench::fault_campaign_json()),
-        "provebench" => print!("{}", provebench::prove_throughput_text()),
-        "provebench-json" => print!("{}", provebench::prove_throughput_json()),
-        "servebench" => print!("{}", servebench::serve_throughput_text()),
-        "servebench-json" => print!("{}", servebench::serve_throughput_json()),
-        "storebench" => print!("{}", storebench::store_economics_text()),
-        "storebench-json" => print!("{}", storebench::store_economics_json()),
-        "chaosbench" => print!("{}", chaosbench::chaos_throughput_text()),
-        "chaosbench-json" => print!("{}", chaosbench::chaos_throughput_json()),
-        _ => usage(),
+        other => match bench(other) {
+            Some(out) => print!("{out}"),
+            None => usage(),
+        },
     };
     if arg == "all" {
-        for name in [
+        let paper = [
             "verify",
             "table1",
             "table2",
@@ -100,17 +104,9 @@ fn main() {
             "cascade",
             "rank",
             "variations",
-            "simbench",
-            "threadbench",
-            "widebench",
-            "oraclebench",
-            "faultbench",
-            "provebench",
-            "servebench",
-            "storebench",
-            "chaosbench",
-            "prove",
-        ] {
+        ];
+        let benches = BENCHES.iter().map(|&(name, ..)| name);
+        for name in paper.into_iter().chain(benches).chain(["prove"]) {
             println!("==================================================================");
             run(name);
             println!();

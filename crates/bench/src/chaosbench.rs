@@ -15,8 +15,8 @@
 //! as a machine-readable record (`chaosbench-json`) that CI archives
 //! as `BENCH_chaos.json`.
 
-use crate::with_commas;
-use hwperm_serve::{ChaosProxy, Fault, Listener, RetryClient, RetryPolicy, ServeOptions};
+use crate::{record, with_commas};
+use hwperm_serve::{ChaosProxy, Fault, Json, Listener, RetryClient, RetryPolicy, ServeOptions};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -105,10 +105,13 @@ pub fn measure(n: usize, clients: usize, rounds: usize, fault_rate: f64) -> Chao
                 let mut client = RetryClient::new(endpoint, policy);
                 let mut words = 0u64;
                 for round in 0..rounds {
-                    let req = format!(
-                        "{{\"id\":{},\"cmd\":\"block\",\"n\":{n},\"chunk\":{CHAOS_BENCH_CHUNK}}}",
-                        round + 1,
-                    );
+                    let req = Json::obj([
+                        ("id", Json::from(round + 1)),
+                        ("cmd", "block".into()),
+                        ("n", n.into()),
+                        ("chunk", CHAOS_BENCH_CHUNK.into()),
+                    ])
+                    .to_string();
                     let resp = client.request(&req).expect("block response");
                     assert!(resp.is_ok(), "block request failed");
                     words += resp
@@ -159,7 +162,7 @@ pub fn default_matrix() -> Vec<ChaosRow> {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn chaos_throughput_text() -> String {
+pub fn text() -> String {
     render_text(&default_matrix())
 }
 
@@ -202,48 +205,39 @@ fn render_text(rows: &[ChaosRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_chaos.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn chaos_throughput_json() -> String {
+/// The `BENCH_chaos.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_matrix())
 }
 
 fn render_json(rows: &[ChaosRow]) -> String {
     let clean = rows.first().map_or(1.0, ChaosRow::perms_per_sec);
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let mut out = format!(
-        "{{\n  \"bench\": \"chaos_throughput\",\n  \"sweep\": \"full block table through a \
-         fault-injecting proxy at 0/1/5% attempt kill rates\",\n  \"hardware_threads\": \
-         {cores},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"clients\": {}, \"rounds\": {}, \"fault_rate\": {:.2}, \
-             \"faults\": {}, \"retries\": {}, \"words\": {}, \"ns_total\": {}, \
-             \"perms_per_sec\": {:.0}, \"ratio_vs_clean\": {:.3}}}{sep}",
-            r.n,
-            r.clients,
-            r.rounds,
-            r.fault_rate,
-            r.faults,
-            r.retries,
-            r.words,
-            r.ns_total,
-            r.perms_per_sec(),
-            r.ratio_vs(clean),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("clients", r.clients.into()),
+            ("rounds", r.rounds.into()),
+            ("fault_rate", Json::fixed(r.fault_rate, 2)),
+            ("faults", r.faults.into()),
+            ("retries", r.retries.into()),
+            ("words", r.words.into()),
+            ("ns_total", r.ns_total.into()),
+            ("perms_per_sec", Json::fixed(r.perms_per_sec(), 0)),
+            ("ratio_vs_clean", Json::fixed(r.ratio_vs(clean), 3)),
+        ])
+    });
+    record::render(
+        "chaos_throughput",
+        "full block table through a fault-injecting proxy at 0/1/5% attempt kill rates",
+        rows,
+        vec![],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn faulted_cell_still_delivers_every_word() {
@@ -289,19 +283,42 @@ mod tests {
                 ns_total: 2_000_000_000,
             },
         ];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"chaos_throughput\"",
-            "\"fault_rate\": 0.05",
-            "\"faults\": 2",
-            "\"retries\": 2",
-            "\"words\": 967680",
-            "\"ratio_vs_clean\": 0.500",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "chaos_throughput",
+            &[
+                "n",
+                "clients",
+                "rounds",
+                "fault_rate",
+                "faults",
+                "retries",
+                "words",
+                "ns_total",
+                "perms_per_sec",
+                "ratio_vs_clean",
+            ],
+            &[
+                &[
+                    ("fault_rate", "0.00"),
+                    ("faults", "0"),
+                    ("ratio_vs_clean", "1.000"),
+                ],
+                &[
+                    ("n", "8"),
+                    ("clients", "4"),
+                    ("rounds", "6"),
+                    ("fault_rate", "0.05"),
+                    ("faults", "2"),
+                    ("retries", "2"),
+                    ("words", "967680"),
+                    ("ns_total", "2000000000"),
+                    ("perms_per_sec", "483840"),
+                    ("ratio_vs_clean", "0.500"),
+                ],
+            ],
+            &[],
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! as a machine-readable record (`faultbench-json`) that CI archives
 //! as `BENCH_faults.json` next to the other bench artifacts.
 
-use crate::with_commas;
+use crate::{record, with_commas};
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_perm::packed_is_permutation_u64;
+use hwperm_serve::Json;
 use hwperm_verify::{
     expected_permutation_words, single_stuck_at_universe, stuck_at_campaign_scalar,
     stuck_at_campaign_wide, CampaignReport,
@@ -118,7 +119,7 @@ fn baseline_ns(rows: &[FaultBenchRow], n: usize) -> u128 {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn fault_campaign_text() -> String {
+pub fn text() -> String {
     render_text(&default_matrix())
 }
 
@@ -168,44 +169,40 @@ fn render_text(rows: &[FaultBenchRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_faults.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn fault_campaign_json() -> String {
+/// The `BENCH_faults.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_matrix())
 }
 
 fn render_json(rows: &[FaultBenchRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let mut out = format!(
-        "{{\n  \"bench\": \"fault_campaign\",\n  \"sweep\": \"single-stuck-at universe of the converter vs the block-decoded oracle\",\n  \"hardware_threads\": {cores},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"faults\": {}, \"indices\": {}, \"engine\": \"{}\", \
-             \"workers\": {}, \"ns_per_campaign\": {}, \"speedup_vs_scalar\": {:.2}, \
-             \"faults_per_sec\": {:.0}, \"coverage_percent\": {:.2}}}{sep}",
-            r.n,
-            r.faults,
-            r.indices,
-            r.engine,
-            r.workers,
-            r.ns_per_campaign,
-            r.speedup_over(baseline_ns(rows, r.n)),
-            r.faults_per_sec(),
-            r.coverage_percent,
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let json_rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("faults", r.faults.into()),
+            ("indices", r.indices.into()),
+            ("engine", r.engine.into()),
+            ("workers", r.workers.into()),
+            ("ns_per_campaign", r.ns_per_campaign.into()),
+            (
+                "speedup_vs_scalar",
+                Json::fixed(r.speedup_over(baseline_ns(rows, r.n)), 2),
+            ),
+            ("faults_per_sec", Json::fixed(r.faults_per_sec(), 0)),
+            ("coverage_percent", Json::fixed(r.coverage_percent, 2)),
+        ])
+    });
+    record::render(
+        "fault_campaign",
+        "single-stuck-at universe of the converter vs the block-decoded oracle",
+        json_rows,
+        vec![],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn rows_are_well_formed() {
@@ -242,21 +239,41 @@ mod tests {
             coverage_percent: 97.5,
         };
         let rows = vec![mk("scalar", 1, 40_000), mk("batched", 8, 2_000)];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"fault_campaign\"",
-            "\"hardware_threads\":",
-            "\"n\": 5",
-            "\"engine\": \"batched\"",
-            "\"ns_per_campaign\": 2000",
-            "\"speedup_vs_scalar\": 20.00",
-            "\"faults_per_sec\": 300000000",
-            "\"coverage_percent\": 97.50",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "fault_campaign",
+            &[
+                "n",
+                "faults",
+                "indices",
+                "engine",
+                "workers",
+                "ns_per_campaign",
+                "speedup_vs_scalar",
+                "faults_per_sec",
+                "coverage_percent",
+            ],
+            &[
+                &[
+                    ("n", "5"),
+                    ("engine", "\"scalar\""),
+                    ("ns_per_campaign", "40000"),
+                    ("speedup_vs_scalar", "1.00"),
+                ],
+                &[
+                    ("n", "5"),
+                    ("faults", "600"),
+                    ("indices", "120"),
+                    ("engine", "\"batched\""),
+                    ("workers", "8"),
+                    ("ns_per_campaign", "2000"),
+                    ("speedup_vs_scalar", "20.00"),
+                    ("faults_per_sec", "300000000"),
+                    ("coverage_percent", "97.50"),
+                ],
+            ],
+            &[],
+        );
     }
 
     #[test]

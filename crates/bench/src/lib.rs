@@ -14,6 +14,7 @@ pub mod faultbench;
 pub mod figures;
 pub mod oraclebench;
 pub mod provebench;
+pub mod record;
 pub mod resources;
 pub mod servebench;
 pub mod simbench;

@@ -20,8 +20,9 @@
 //! as `BENCH_oracle.json` next to `BENCH_sim.json` and
 //! `BENCH_parallel.json`.
 
-use crate::with_commas;
+use crate::{record, with_commas};
 use hwperm_factoradic::unrank_u64;
+use hwperm_serve::Json;
 use hwperm_verify::{expected_permutation_words, expected_permutation_words_parallel};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -133,7 +134,7 @@ fn baseline_ns(rows: &[OracleRow], n: usize) -> u128 {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn oracle_throughput_text() -> String {
+pub fn text() -> String {
     render_text(&default_matrix())
 }
 
@@ -172,41 +173,38 @@ fn render_text(rows: &[OracleRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_oracle.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn oracle_throughput_json() -> String {
+/// The `BENCH_oracle.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_matrix())
 }
 
 fn render_json(rows: &[OracleRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let mut out = format!(
-        "{{\n  \"bench\": \"oracle_throughput\",\n  \"sweep\": \"packed expectation table generation, indices 0..n!\",\n  \"hardware_threads\": {cores},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"indices\": {}, \"method\": \"{}\", \"workers\": {}, \
-             \"ns_per_table\": {}, \"speedup_vs_naive\": {:.2}, \"perms_per_sec\": {:.0}}}{sep}",
-            r.n,
-            r.indices,
-            r.method,
-            r.workers,
-            r.ns_per_table,
-            r.speedup_over(baseline_ns(rows, r.n)),
-            r.perms_per_sec(),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let json_rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("indices", r.indices.into()),
+            ("method", r.method.as_str().into()),
+            ("workers", r.workers.into()),
+            ("ns_per_table", r.ns_per_table.into()),
+            (
+                "speedup_vs_naive",
+                Json::fixed(r.speedup_over(baseline_ns(rows, r.n)), 2),
+            ),
+            ("perms_per_sec", Json::fixed(r.perms_per_sec(), 0)),
+        ])
+    });
+    record::render(
+        "oracle_throughput",
+        "packed expectation table generation, indices 0..n!",
+        json_rows,
+        vec![],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn rows_are_well_formed() {
@@ -255,22 +253,38 @@ mod tests {
                 ns_per_table: 1_000,
             },
         ];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"oracle_throughput\"",
-            "\"hardware_threads\":",
-            "\"n\": 8",
-            "\"method\": \"naive\"",
-            "\"method\": \"par-4\"",
-            "\"workers\": 4",
-            "\"ns_per_table\": 1000",
-            "\"speedup_vs_naive\": 10.00",
-            "\"perms_per_sec\": 40320000000",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "oracle_throughput",
+            &[
+                "n",
+                "indices",
+                "method",
+                "workers",
+                "ns_per_table",
+                "speedup_vs_naive",
+                "perms_per_sec",
+            ],
+            &[
+                &[
+                    ("n", "8"),
+                    ("method", "\"naive\""),
+                    ("workers", "1"),
+                    ("ns_per_table", "10000"),
+                    ("speedup_vs_naive", "1.00"),
+                ],
+                &[
+                    ("n", "8"),
+                    ("indices", "40320"),
+                    ("method", "\"par-4\""),
+                    ("workers", "4"),
+                    ("ns_per_table", "1000"),
+                    ("speedup_vs_naive", "10.00"),
+                    ("perms_per_sec", "40320000000"),
+                ],
+            ],
+            &[],
+        );
     }
 
     #[test]

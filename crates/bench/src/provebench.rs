@@ -12,8 +12,9 @@
 //! as a machine-readable record (`provebench-json`) that CI archives
 //! as `BENCH_prove.json` next to the other bench artifacts.
 
-use crate::with_commas;
+use crate::{record, with_commas};
 use hwperm_circuits::{converter_netlist, ConverterOptions, PermToIndexConverter};
+use hwperm_serve::Json;
 use hwperm_verify::{
     expected_permutation_words, prove_against_table, prove_inverse_identity,
     prove_pipelined_equivalent, ProveOutcome,
@@ -124,7 +125,7 @@ pub fn default_matrix() -> Vec<ProveBenchRow> {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn prove_throughput_text() -> String {
+pub fn text() -> String {
     render_text(&default_matrix())
 }
 
@@ -164,43 +165,36 @@ fn render_text(rows: &[ProveBenchRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_prove.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn prove_throughput_json() -> String {
+/// The `BENCH_prove.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_matrix())
 }
 
 fn render_json(rows: &[ProveBenchRow]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"sat_prove\",\n  \"sweep\": \"CDCL proof obligations of hwperm prove \
-         (table, inverse, unroll)\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"obligation\": \"{}\", \"vars\": {}, \"clauses\": {}, \
-             \"conflicts\": {}, \"decisions\": {}, \"ns_per_proof\": {}, \
-             \"conflicts_per_sec\": {:.0}}}{sep}",
-            r.n,
-            r.obligation,
-            r.vars,
-            r.clauses,
-            r.conflicts,
-            r.decisions,
-            r.ns_per_proof,
-            r.conflicts_per_sec(),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("obligation", r.obligation.into()),
+            ("vars", r.vars.into()),
+            ("clauses", r.clauses.into()),
+            ("conflicts", r.conflicts.into()),
+            ("decisions", r.decisions.into()),
+            ("ns_per_proof", r.ns_per_proof.into()),
+            ("conflicts_per_sec", Json::fixed(r.conflicts_per_sec(), 0)),
+        ])
+    });
+    record::render(
+        "sat_prove",
+        "CDCL proof obligations of hwperm prove (table, inverse, unroll)",
+        rows,
+        vec![],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn rows_are_well_formed() {
@@ -232,21 +226,34 @@ mod tests {
             ns_per_proof: 2_000_000,
         };
         let rows = vec![mk(5, "table"), mk(5, "unroll")];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"sat_prove\"",
-            "\"n\": 5",
-            "\"obligation\": \"table\"",
-            "\"vars\": 1000",
-            "\"clauses\": 3500",
-            "\"conflicts\": 42",
-            "\"ns_per_proof\": 2000000",
-            "\"conflicts_per_sec\": 21000",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "sat_prove",
+            &[
+                "n",
+                "obligation",
+                "vars",
+                "clauses",
+                "conflicts",
+                "decisions",
+                "ns_per_proof",
+                "conflicts_per_sec",
+            ],
+            &[
+                &[
+                    ("n", "5"),
+                    ("obligation", "\"table\""),
+                    ("vars", "1000"),
+                    ("clauses", "3500"),
+                    ("conflicts", "42"),
+                    ("decisions", "99"),
+                    ("ns_per_proof", "2000000"),
+                    ("conflicts_per_sec", "21000"),
+                ],
+                &[("obligation", "\"unroll\"")],
+            ],
+            &[],
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! as a machine-readable record (`servebench-json`) that CI archives as
 //! `BENCH_serve.json`.
 
-use crate::{oraclebench, with_commas};
-use hwperm_serve::{Client, Listener, ServeOptions};
+use crate::{oraclebench, record, with_commas};
+use hwperm_serve::{Client, Json, Listener, ServeOptions};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -74,10 +74,13 @@ pub fn measure(n: usize, clients: usize, workers: usize, rounds: usize) -> Serve
                 let mut client = Client::connect(&endpoint).expect("connect");
                 let mut words = 0u64;
                 for round in 0..rounds {
-                    let req = format!(
-                        "{{\"id\":{},\"cmd\":\"block\",\"n\":{n},\"chunk\":{SERVE_BENCH_CHUNK}}}",
-                        round + 1,
-                    );
+                    let req = Json::obj([
+                        ("id", Json::from(round + 1)),
+                        ("cmd", "block".into()),
+                        ("n", n.into()),
+                        ("chunk", SERVE_BENCH_CHUNK.into()),
+                    ])
+                    .to_string();
                     let resp = client.request(&req).expect("block response");
                     assert!(resp.is_ok(), "block request failed");
                     words += resp
@@ -131,7 +134,7 @@ pub fn default_matrix() -> (f64, Vec<ServeRow>) {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn serve_throughput_text() -> String {
+pub fn text() -> String {
     let (baseline, rows) = default_matrix();
     render_text(baseline, &rows)
 }
@@ -173,46 +176,37 @@ fn render_text(baseline: f64, rows: &[ServeRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_serve.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn serve_throughput_json() -> String {
+/// The `BENCH_serve.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     let (baseline, rows) = default_matrix();
     render_json(baseline, &rows)
 }
 
 fn render_json(baseline: f64, rows: &[ServeRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let mut out = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"sweep\": \"full block table over the wire, \
-         1/2/4/8 concurrent clients\",\n  \"hardware_threads\": {cores},\n  \
-         \"inprocess_perms_per_sec\": {baseline:.0},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"clients\": {}, \"workers\": {}, \"rounds\": {}, \
-             \"words\": {}, \"ns_total\": {}, \"perms_per_sec\": {:.0}, \
-             \"ratio_vs_inprocess\": {:.3}}}{sep}",
-            r.n,
-            r.clients,
-            r.workers,
-            r.rounds,
-            r.words,
-            r.ns_total,
-            r.perms_per_sec(),
-            r.ratio_vs(baseline),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("clients", r.clients.into()),
+            ("workers", r.workers.into()),
+            ("rounds", r.rounds.into()),
+            ("words", r.words.into()),
+            ("ns_total", r.ns_total.into()),
+            ("perms_per_sec", Json::fixed(r.perms_per_sec(), 0)),
+            ("ratio_vs_inprocess", Json::fixed(r.ratio_vs(baseline), 3)),
+        ])
+    });
+    record::render(
+        "serve_throughput",
+        "full block table over the wire, 1/2/4/8 concurrent clients",
+        rows,
+        vec![("inprocess_perms_per_sec", Json::fixed(baseline, 0))],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn measured_cell_delivers_every_word() {
@@ -234,20 +228,31 @@ mod tests {
             words: 967_680,
             ns_total: 1_000_000_000,
         }];
-        let json = render_json(2_000_000.0, &rows);
-        for key in [
-            "\"bench\": \"serve_throughput\"",
-            "\"inprocess_perms_per_sec\": 2000000",
-            "\"clients\": 8",
-            "\"workers\": 8",
-            "\"words\": 967680",
-            "\"perms_per_sec\": 967680",
-            "\"ratio_vs_inprocess\": 0.484",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(2_000_000.0, &rows),
+            "serve_throughput",
+            &[
+                "n",
+                "clients",
+                "workers",
+                "rounds",
+                "words",
+                "ns_total",
+                "perms_per_sec",
+                "ratio_vs_inprocess",
+            ],
+            &[&[
+                ("n", "8"),
+                ("clients", "8"),
+                ("workers", "8"),
+                ("rounds", "3"),
+                ("words", "967680"),
+                ("ns_total", "1000000000"),
+                ("perms_per_sec", "967680"),
+                ("ratio_vs_inprocess", "0.484"),
+            ]],
+            &[("inprocess_perms_per_sec", "2000000")],
+        );
     }
 
     #[test]

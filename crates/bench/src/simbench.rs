@@ -11,9 +11,10 @@
 //! a machine-readable record (`simbench-json`) that CI archives as
 //! `BENCH_sim.json`.
 
-use crate::with_commas;
+use crate::{record, with_commas};
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_logic::{SimProgram, Simulator};
+use hwperm_serve::Json;
 use hwperm_verify::{exhaustive_check_scalar_with, expected_permutation_words, Sweep};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -98,7 +99,7 @@ pub fn default_rows() -> Vec<SimThroughputRow> {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn sim_throughput_text() -> String {
+pub fn text() -> String {
     render_text(&default_rows())
 }
 
@@ -145,40 +146,42 @@ fn render_text(rows: &[SimThroughputRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_sim.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn sim_throughput_json() -> String {
+/// The `BENCH_sim.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_rows())
 }
 
 fn render_json(rows: &[SimThroughputRow]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"sim_throughput\",\n  \"sweep\": \"exhaustive converter differential, indices 0..n!\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"indices\": {}, \"gates\": {}, \"scalar_ns_per_sweep\": {}, \
-             \"batched_ns_per_sweep\": {}, \"speedup\": {:.2}, \"scalar_perms_per_sec\": {:.0}, \
-             \"batched_perms_per_sec\": {:.0}}}{sep}",
-            r.n,
-            r.indices,
-            r.gates,
-            r.scalar_ns,
-            r.batched_ns,
-            r.speedup(),
-            r.scalar_perms_per_sec(),
-            r.batched_perms_per_sec(),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("indices", r.indices.into()),
+            ("gates", r.gates.into()),
+            ("scalar_ns_per_sweep", r.scalar_ns.into()),
+            ("batched_ns_per_sweep", r.batched_ns.into()),
+            ("speedup", Json::fixed(r.speedup(), 2)),
+            (
+                "scalar_perms_per_sec",
+                Json::fixed(r.scalar_perms_per_sec(), 0),
+            ),
+            (
+                "batched_perms_per_sec",
+                Json::fixed(r.batched_perms_per_sec(), 0),
+            ),
+        ])
+    });
+    record::render(
+        "sim_throughput",
+        "exhaustive converter differential, indices 0..n!",
+        rows,
+        vec![],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn n4_batched_sweep_meets_the_speedup_bar() {
@@ -216,22 +219,31 @@ mod tests {
             scalar_ns: 6000,
             batched_ns: 200,
         }];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"sim_throughput\"",
-            "\"n\": 4",
-            "\"indices\": 24",
-            "\"scalar_ns_per_sweep\": 6000",
-            "\"batched_ns_per_sweep\": 200",
-            "\"speedup\": 30.00",
-            "\"scalar_perms_per_sec\": 4000000",
-            "\"batched_perms_per_sec\": 120000000",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        // Balanced braces/brackets as a cheap well-formedness proxy.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "sim_throughput",
+            &[
+                "n",
+                "indices",
+                "gates",
+                "scalar_ns_per_sweep",
+                "batched_ns_per_sweep",
+                "speedup",
+                "scalar_perms_per_sec",
+                "batched_perms_per_sec",
+            ],
+            &[&[
+                ("n", "4"),
+                ("indices", "24"),
+                ("gates", "52"),
+                ("scalar_ns_per_sweep", "6000"),
+                ("batched_ns_per_sweep", "200"),
+                ("speedup", "30.00"),
+                ("scalar_perms_per_sec", "4000000"),
+                ("batched_perms_per_sec", "120000000"),
+            ]],
+            &[],
+        );
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! as a machine-readable record (`storebench-json`) that CI archives as
 //! `BENCH_store.json`.
 
-use crate::with_commas;
+use crate::{record, with_commas};
 use hwperm_circuits::{converter_netlist, ConverterOptions};
+use hwperm_serve::Json;
 use hwperm_store::{build, BuildOptions, OpenTable, TableSource};
 use hwperm_verify::Sweep;
 use std::fmt::Write as _;
@@ -192,7 +193,7 @@ pub fn warm_speedup(rows: &[StoreRow], n: usize) -> Option<f64> {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn store_economics_text() -> String {
+pub fn text() -> String {
     render_text(&default_matrix())
 }
 
@@ -235,52 +236,40 @@ fn render_text(rows: &[StoreRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_store.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn store_economics_json() -> String {
+/// The `BENCH_store.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_matrix())
 }
 
 fn render_json(rows: &[StoreRow]) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"store_economics\",\n  \"sweep\": \"cold build vs warm load vs \
-         recompute, plus computed vs store-backed converter sweeps\",\n  \
-         \"sizes\": {:?},\n  \"rows\": [\n",
-        STORE_BENCH_SIZES
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"phase\": \"{}\", \"rounds\": {}, \"words\": {}, \
-             \"bytes\": {}, \"ns_best\": {}, \"words_per_sec\": {:.0}}}{sep}",
-            r.n,
-            r.phase,
-            r.rounds,
-            r.words,
-            r.bytes,
-            r.ns_best,
-            r.words_per_sec(),
-        )
-        .unwrap();
-    }
-    let speedups: Vec<String> = STORE_BENCH_SIZES
+    let sizes = STORE_BENCH_SIZES.iter().copied().collect();
+    let speedups = STORE_BENCH_SIZES
         .iter()
-        .filter_map(|&n| warm_speedup(rows, n).map(|s| format!("\"n{n}\": {s:.3}")))
-        .collect();
-    writeln!(
-        out,
-        "  ],\n  \"warm_speedup\": {{{}}}\n}}",
-        speedups.join(", ")
+        .filter_map(|&n| warm_speedup(rows, n).map(|s| (format!("n{n}"), Json::fixed(s, 3))));
+    let summary = vec![("sizes", sizes), ("warm_speedup", Json::obj(speedups))];
+    let rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("phase", r.phase.into()),
+            ("rounds", r.rounds.into()),
+            ("words", r.words.into()),
+            ("bytes", r.bytes.into()),
+            ("ns_best", r.ns_best.into()),
+            ("words_per_sec", Json::fixed(r.words_per_sec(), 0)),
+        ])
+    });
+    record::render(
+        "store_economics",
+        "cold build vs warm load vs recompute, plus computed vs store-backed converter sweeps",
+        rows,
+        summary,
     )
-    .unwrap();
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn small_n_matrix_cells_measure_and_agree() {
@@ -335,20 +324,29 @@ mod tests {
             bytes: 322_560,
             ns_best: 1_000_000,
         }];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"store_economics\"",
-            "\"phase\": \"load-warm\"",
-            "\"words\": 40320",
-            "\"bytes\": 322560",
-            "\"ns_best\": 1000000",
-            "\"words_per_sec\": 40320000",
-            "\"warm_speedup\": {}",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "store_economics",
+            &[
+                "n",
+                "phase",
+                "rounds",
+                "words",
+                "bytes",
+                "ns_best",
+                "words_per_sec",
+            ],
+            &[&[
+                ("n", "8"),
+                ("phase", "\"load-warm\""),
+                ("rounds", "3"),
+                ("words", "40320"),
+                ("bytes", "322560"),
+                ("ns_best", "1000000"),
+                ("words_per_sec", "40320000"),
+            ]],
+            &[("sizes", "[7,8]"), ("warm_speedup", "{}")],
+        );
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! by an `#[ignore]`d release-mode test that first checks
 //! `std::thread::available_parallelism()`.
 
-use crate::with_commas;
+use crate::{record, with_commas};
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_logic::{SimProgram, SimWord};
+use hwperm_serve::Json;
 use hwperm_verify::{expected_permutation_words, fan_out, ExhaustiveMismatch, Sweep};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -132,7 +133,7 @@ fn baseline_ns(rows: &[ThreadScalingRow], n: usize) -> u128 {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn thread_scaling_text() -> String {
+pub fn text() -> String {
     render_text(&default_matrix())
 }
 
@@ -172,41 +173,38 @@ fn render_text(rows: &[ThreadScalingRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_parallel.json` CI artifact). Hand-rolled
-/// — the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn thread_scaling_json() -> String {
+/// The `BENCH_parallel.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_matrix())
 }
 
 fn render_json(rows: &[ThreadScalingRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let mut out = format!(
-        "{{\n  \"bench\": \"thread_scaling\",\n  \"sweep\": \"sharded exhaustive converter differential, indices 0..n!\",\n  \"hardware_threads\": {cores},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"indices\": {}, \"gates\": {}, \"workers\": {}, \
-             \"ns_per_sweep\": {}, \"speedup_vs_1_worker\": {:.2}, \"perms_per_sec\": {:.0}}}{sep}",
-            r.n,
-            r.indices,
-            r.gates,
-            r.workers,
-            r.ns_per_sweep,
-            r.speedup_over(baseline_ns(rows, r.n)),
-            r.perms_per_sec(),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let json_rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("indices", r.indices.into()),
+            ("gates", r.gates.into()),
+            ("workers", r.workers.into()),
+            ("ns_per_sweep", r.ns_per_sweep.into()),
+            (
+                "speedup_vs_1_worker",
+                Json::fixed(r.speedup_over(baseline_ns(rows, r.n)), 2),
+            ),
+            ("perms_per_sec", Json::fixed(r.perms_per_sec(), 0)),
+        ])
+    });
+    record::render(
+        "thread_scaling",
+        "sharded exhaustive converter differential, indices 0..n!",
+        json_rows,
+        vec![],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn repeats_return_the_single_sweep_result() {
@@ -260,20 +258,37 @@ mod tests {
                 ns_per_sweep: 2000,
             },
         ];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"thread_scaling\"",
-            "\"hardware_threads\":",
-            "\"n\": 6",
-            "\"workers\": 8",
-            "\"ns_per_sweep\": 2000",
-            "\"speedup_vs_1_worker\": 4.00",
-            "\"perms_per_sec\": 360000000",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "thread_scaling",
+            &[
+                "n",
+                "indices",
+                "gates",
+                "workers",
+                "ns_per_sweep",
+                "speedup_vs_1_worker",
+                "perms_per_sec",
+            ],
+            &[
+                &[
+                    ("n", "6"),
+                    ("workers", "1"),
+                    ("ns_per_sweep", "8000"),
+                    ("speedup_vs_1_worker", "1.00"),
+                ],
+                &[
+                    ("n", "6"),
+                    ("indices", "720"),
+                    ("gates", "300"),
+                    ("workers", "8"),
+                    ("ns_per_sweep", "2000"),
+                    ("speedup_vs_1_worker", "4.00"),
+                    ("perms_per_sec", "360000000"),
+                ],
+            ],
+            &[],
+        );
     }
 
     #[test]

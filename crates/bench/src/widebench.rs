@@ -22,9 +22,10 @@
 //! `std::thread::available_parallelism()`.
 
 use crate::threadbench::repeated_check;
-use crate::with_commas;
+use crate::{record, with_commas};
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_logic::{Netlist, SimProgram, SimWord, Simulator, W256, W512};
+use hwperm_serve::Json;
 use hwperm_verify::{exhaustive_check_scalar_with, expected_permutation_words, Sweep};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -185,7 +186,7 @@ fn baseline_ns(rows: &[WideRow], n: usize) -> u128 {
 }
 
 /// Text rendering for the `tables` binary.
-pub fn wide_word_text() -> String {
+pub fn text() -> String {
     render_text(&default_matrix())
 }
 
@@ -237,45 +238,41 @@ fn render_text(rows: &[WideRow]) -> String {
     out
 }
 
-/// JSON rendering (the `BENCH_wide.json` CI artifact). Hand-rolled —
-/// the workspace carries no serde — but stable-keyed and
-/// machine-parsable.
-pub fn wide_word_json() -> String {
+/// The `BENCH_wide.json` record (the common shape of [`crate::record`]).
+pub fn json() -> String {
     render_json(&default_matrix())
 }
 
 fn render_json(rows: &[WideRow]) -> String {
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let mut out = format!(
-        "{{\n  \"bench\": \"wide_word\",\n  \"sweep\": \"exhaustive converter differential, indices 0..n!\",\n  \"hardware_threads\": {cores},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"indices\": {}, \"gates\": {}, \"width\": {}, \"workers\": {}, \
-             \"fused\": {}, \"tape_ops\": {}, \"ns_per_sweep\": {}, \
-             \"speedup_vs_scalar\": {:.2}, \"perms_per_sec\": {:.0}}}{sep}",
-            r.n,
-            r.indices,
-            r.gates,
-            r.width,
-            r.workers,
-            r.fused,
-            r.tape_ops,
-            r.ns_per_sweep,
-            r.speedup_over(baseline_ns(rows, r.n)),
-            r.perms_per_sec(),
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let json_rows = rows.iter().map(|r| {
+        Json::obj([
+            ("n", Json::from(r.n)),
+            ("indices", r.indices.into()),
+            ("gates", r.gates.into()),
+            ("width", r.width.into()),
+            ("workers", r.workers.into()),
+            ("fused", Json::Bool(r.fused)),
+            ("tape_ops", r.tape_ops.into()),
+            ("ns_per_sweep", r.ns_per_sweep.into()),
+            (
+                "speedup_vs_scalar",
+                Json::fixed(r.speedup_over(baseline_ns(rows, r.n)), 2),
+            ),
+            ("perms_per_sec", Json::fixed(r.perms_per_sec(), 0)),
+        ])
+    });
+    record::render(
+        "wide_word",
+        "exhaustive converter differential, indices 0..n!",
+        json_rows,
+        vec![],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::check_record;
 
     #[test]
     fn rows_are_well_formed_at_every_width() {
@@ -330,21 +327,49 @@ mod tests {
             mk(64, false, 1000),
             mk(512, true, 125),
         ];
-        let json = render_json(&rows);
-        for key in [
-            "\"bench\": \"wide_word\"",
-            "\"hardware_threads\":",
-            "\"width\": 512",
-            "\"fused\": true",
-            "\"tape_ops\": 250",
-            "\"ns_per_sweep\": 125",
-            "\"speedup_vs_scalar\": 512.00",
-            "\"perms_per_sec\": 5760000000",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check_record(
+            &render_json(&rows),
+            "wide_word",
+            &[
+                "n",
+                "indices",
+                "gates",
+                "width",
+                "workers",
+                "fused",
+                "tape_ops",
+                "ns_per_sweep",
+                "speedup_vs_scalar",
+                "perms_per_sec",
+            ],
+            &[
+                &[
+                    ("width", "1"),
+                    ("fused", "false"),
+                    ("ns_per_sweep", "64000"),
+                    ("speedup_vs_scalar", "1.00"),
+                ],
+                &[
+                    ("width", "64"),
+                    ("fused", "false"),
+                    ("tape_ops", "300"),
+                    ("ns_per_sweep", "1000"),
+                    ("speedup_vs_scalar", "64.00"),
+                ],
+                &[
+                    ("n", "6"),
+                    ("indices", "720"),
+                    ("width", "512"),
+                    ("workers", "1"),
+                    ("fused", "true"),
+                    ("tape_ops", "250"),
+                    ("ns_per_sweep", "125"),
+                    ("speedup_vs_scalar", "512.00"),
+                    ("perms_per_sec", "5760000000"),
+                ],
+            ],
+            &[],
+        );
     }
 
     #[test]

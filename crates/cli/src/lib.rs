@@ -20,6 +20,7 @@ use hwperm_factoradic::{
 use hwperm_logic::{ResourceReport, SimProgram, W256, W512};
 use hwperm_perm::Permutation;
 use hwperm_rng::BiasReport;
+use hwperm_serve::{envelope, Json};
 use hwperm_store::TableSource;
 use hwperm_verify::Sweep;
 use std::fmt;
@@ -339,19 +340,6 @@ fn prove_family(
     }
 }
 
-/// Wraps a subcommand's JSON result objects in the envelope shared by
-/// `lint --json`, `faults --json` and `prove --json`: tool identity,
-/// version, subcommand, exit status, and the per-circuit results.
-fn json_envelope(command: &str, errors: usize, results: &str) -> String {
-    let (status, exit) = if errors == 0 { ("ok", 0) } else { ("error", 2) };
-    format!(
-        "{{\"tool\":\"hwperm\",\"version\":\"{}\",\"command\":\"{command}\",\
-         \"status\":\"{status}\",\"exit\":{exit},\"errors\":{errors},\
-         \"results\":[{results}]}}\n",
-        env!("CARGO_PKG_VERSION"),
-    )
-}
-
 /// Builds the named family's netlist at size `n` plus its (input,
 /// output) port pair for a fault campaign. Derived parameters match
 /// [`lint_family_netlist`]: combination/variation take k = ⌈n/2⌉, the
@@ -402,22 +390,6 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, CliError> {
     s.parse().map_err(|_| err(format!("invalid {what}: {s:?}")))
 }
 
-/// Escapes a string for embedding in a hand-rolled JSON literal.
-/// Store directories are the only free-form text the CLI emits as
-/// JSON, so backslash/quote/control coverage is all that's needed.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Parses a `--width` value into a lane count. Only the three compiled
 /// word widths exist — 64 (`u64`), 256 ([`W256`]), 512 ([`W512`]) —
 /// anything else is a user error (exit 2).
@@ -440,23 +412,42 @@ const DEFAULT_WIDTH: usize = 512;
 /// Renders [`TapeStats`](hwperm_logic::TapeStats) for a fused compile
 /// of `netlist` as a JSON object — the `"tape"` field of each
 /// `lint --json` result row.
-fn tape_stats_json(netlist: hwperm_logic::Netlist) -> String {
+fn tape_stats_json(netlist: hwperm_logic::Netlist) -> Json {
     let stats = SimProgram::compile_fused(netlist).stats();
     let op_counts = stats
         .op_counts
         .iter()
-        .map(|(name, count)| format!("\"{name}\":{count}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"ops\":{},\"unfused_ops\":{},\"fused_away\":{},\
-         \"levels\":{},\"blocks\":{},\"op_counts\":{{{op_counts}}}}}",
-        stats.ops,
-        stats.unfused_ops,
-        stats.fused_away(),
-        stats.levels,
-        stats.blocks,
-    )
+        .map(|&(name, count)| (name, Json::from(count)));
+    Json::obj([
+        ("ops", stats.ops.into()),
+        ("unfused_ops", stats.unfused_ops.into()),
+        ("fused_away", stats.fused_away().into()),
+        ("levels", stats.levels.into()),
+        ("blocks", stats.blocks.into()),
+        ("op_counts", Json::obj(op_counts)),
+    ])
+}
+
+/// Renders a [`LintReport`](hwperm_lint::LintReport) as the `"report"`
+/// field of each `lint --json` result row: severity counts plus every
+/// diagnostic.
+fn lint_report_json(report: &hwperm_lint::LintReport) -> Json {
+    use hwperm_lint::Severity;
+    let diagnostics = report.diagnostics.iter().map(|d| {
+        Json::obj([
+            ("lint", d.lint.as_str().into()),
+            ("severity", d.severity.as_str().into()),
+            ("message", d.message.as_str().into()),
+            ("nets", d.nets.iter().copied().collect()),
+            ("ports", d.ports.iter().map(String::as_str).collect()),
+        ])
+    });
+    Json::obj([
+        ("errors", report.error_count().into()),
+        ("warnings", report.count(Severity::Warn).into()),
+        ("infos", report.count(Severity::Info).into()),
+        ("diagnostics", diagnostics.collect()),
+    ])
 }
 
 fn parse_ubig(s: &str, what: &str) -> Result<Ubig, CliError> {
@@ -645,8 +636,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 vec![circuit.as_str()]
             };
             let mut out = String::new();
+            let mut rows = Vec::new();
             let mut errors = 0usize;
-            for (i, family) in families.iter().enumerate() {
+            for family in &families {
                 let netlist = lint_family_netlist(family, n)?;
                 let mut config = hwperm_lint::LintConfig::new();
                 if let Some((port, bound)) = lint_family_range(family, n) {
@@ -655,20 +647,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let report = hwperm_lint::lint_netlist_with(&netlist, &config);
                 errors += report.error_count();
                 if json {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"circuit\":\"{family}\",\"n\":{n},\"tape\":{},\"report\":{}}}",
-                        tape_stats_json(netlist),
-                        report.to_json()
-                    ));
+                    rows.push(Json::obj([
+                        ("circuit", Json::from(*family)),
+                        ("n", n.into()),
+                        ("tape", tape_stats_json(netlist)),
+                        ("report", lint_report_json(&report)),
+                    ]));
                 } else {
                     out.push_str(&format!("== {family} (n = {n}) ==\n{report}"));
                 }
             }
             if json {
-                out = json_envelope("lint", errors, &out);
+                out = format!("{}\n", envelope("lint", errors, rows, None));
             }
             if errors > 0 {
                 return Err(err(format!(
@@ -1023,17 +1013,16 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             report.bytes_written,
                             report.dir.display(),
                         ),
-                        format!(
-                            "{{\"action\":\"build\",\"n\":{n},\"dir\":\"{}\",\
-                             \"chunks\":{},\"built\":{},\"resumed\":{},\
-                             \"bytes_written\":{},\"complete\":{}}}",
-                            json_escape(&report.dir.display().to_string()),
-                            report.chunks_total,
-                            report.built,
-                            report.resumed,
-                            report.bytes_written,
-                            report.complete,
-                        ),
+                        Json::obj([
+                            ("action", Json::from("build")),
+                            ("n", n.into()),
+                            ("dir", Json::Str(report.dir.display().to_string())),
+                            ("chunks", report.chunks_total.into()),
+                            ("built", report.built.into()),
+                            ("resumed", report.resumed.into()),
+                            ("bytes_written", report.bytes_written.into()),
+                            ("complete", Json::Bool(report.complete)),
+                        ]),
                     )
                 }
                 "verify" => {
@@ -1044,11 +1033,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                              {} byte(s) validated\n",
                             report.chunks, report.words, report.bytes,
                         ),
-                        format!(
-                            "{{\"action\":\"verify\",\"n\":{n},\"chunks\":{},\
-                             \"words\":{},\"bytes\":{},\"verdict\":\"ok\"}}",
-                            report.chunks, report.words, report.bytes,
-                        ),
+                        Json::obj([
+                            ("action", Json::from("verify")),
+                            ("n", n.into()),
+                            ("chunks", report.chunks.into()),
+                            ("words", report.words.into()),
+                            ("bytes", report.bytes.into()),
+                            ("verdict", "ok".into()),
+                        ]),
                     )
                 }
                 "stat" => match hwperm_store::stat(&dir, n).map_err(store_fail)? {
@@ -1063,21 +1055,25 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             s.chunk_words,
                             s.bytes,
                         ),
-                        format!(
-                            "{{\"action\":\"stat\",\"n\":{n},\"present\":true,\
-                             \"complete\":{},\"chunks\":{},\"chunks_present\":{},\
-                             \"chunk_words\":{},\"total_words\":{},\"bytes\":{}}}",
-                            s.complete,
-                            s.chunks_total,
-                            s.chunks_present,
-                            s.chunk_words,
-                            s.total_words,
-                            s.bytes,
-                        ),
+                        Json::obj([
+                            ("action", Json::from("stat")),
+                            ("n", n.into()),
+                            ("present", Json::Bool(true)),
+                            ("complete", Json::Bool(s.complete)),
+                            ("chunks", s.chunks_total.into()),
+                            ("chunks_present", s.chunks_present.into()),
+                            ("chunk_words", s.chunk_words.into()),
+                            ("total_words", s.total_words.into()),
+                            ("bytes", s.bytes.into()),
+                        ]),
                     ),
                     None => (
                         format!("store stat n = {n}: not built\n"),
-                        format!("{{\"action\":\"stat\",\"n\":{n},\"present\":false}}"),
+                        Json::obj([
+                            ("action", Json::from("stat")),
+                            ("n", n.into()),
+                            ("present", Json::Bool(false)),
+                        ]),
                     ),
                 },
                 other => {
@@ -1087,7 +1083,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
             };
             if json {
-                Ok(json_envelope("store", 0, &row))
+                Ok(format!("{}\n", envelope("store", 0, vec![row], None)))
             } else {
                 Ok(text)
             }
@@ -1145,7 +1141,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
             };
             let mut out = String::new();
-            for (i, fam) in families.iter().enumerate() {
+            let mut rows = Vec::new();
+            for fam in &families {
                 let (netlist, input, output) = campaign_family_netlist(fam, n)?;
                 // The converter checks against the independent
                 // block-decoded oracle plus the packed-permutation
@@ -1183,29 +1180,31 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     })
                     .collect();
                 if json {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let silent_json = silent
-                        .iter()
-                        .map(|(fault, witness)| {
-                            format!("{{\"fault\":\"{fault}\",\"witness\":{witness}}}")
-                        })
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    out.push_str(&format!(
-                        "{{\"circuit\":\"{fam}\",\"n\":{n},\"workers\":{jobs},\
-                         \"width\":{width},\
-                         \"faults\":{},\"detected\":{},\"silent\":{},\"masked\":{},\
-                         \"coverage_percent\":{:.2},\"guard_coverage_percent\":{:.2},\
-                         \"silent_faults\":[{silent_json}]}}",
-                        report.total(),
-                        report.detected(),
-                        report.silent(),
-                        report.masked(),
-                        report.coverage_percent(),
-                        report.guard_coverage_percent(),
-                    ));
+                    let silent_faults = silent.iter().map(|(fault, witness)| {
+                        Json::obj([
+                            ("fault", Json::from(fault.as_str())),
+                            ("witness", (*witness).into()),
+                        ])
+                    });
+                    rows.push(Json::obj([
+                        ("circuit", Json::from(*fam)),
+                        ("n", n.into()),
+                        ("workers", jobs.into()),
+                        ("width", width.into()),
+                        ("faults", report.total().into()),
+                        ("detected", report.detected().into()),
+                        ("silent", report.silent().into()),
+                        ("masked", report.masked().into()),
+                        (
+                            "coverage_percent",
+                            Json::fixed(report.coverage_percent(), 2),
+                        ),
+                        (
+                            "guard_coverage_percent",
+                            Json::fixed(report.guard_coverage_percent(), 2),
+                        ),
+                        ("silent_faults", silent_faults.collect()),
+                    ]));
                 } else {
                     out.push_str(&format!(
                         "== {fam} (n = {n}) ==\n\
@@ -1230,7 +1229,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
             }
             if json {
-                out = json_envelope("faults", 0, &out);
+                out = format!("{}\n", envelope("faults", 0, rows, None));
             }
             Ok(out)
         }
@@ -1306,6 +1305,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
             });
             let mut out = String::new();
+            let mut rows = Vec::new();
             let mut failures = 0usize;
             for (i, fam) in families.iter().enumerate() {
                 let verdict = slots[i]
@@ -1313,91 +1313,61 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     .expect("prove slot poisoned")
                     .take()
                     .expect("prove worker finished every family");
-                if i > 0 && json {
-                    out.push(',');
-                }
-                match verdict {
+                let mut row = vec![("circuit", Json::from(*fam)), ("n", n.into())];
+                let text = match verdict {
                     Ok((obligation, outcome)) => {
                         let s = outcome.stats();
                         let stats_text = format!(
                             "vars {}, clauses {}, conflicts {}, decisions {}",
                             s.vars, s.clauses, s.conflicts, s.decisions
                         );
-                        let stats_json = format!(
-                            "\"vars\":{},\"clauses\":{},\"conflicts\":{},\
-                             \"decisions\":{},\"propagations\":{}",
-                            s.vars, s.clauses, s.conflicts, s.decisions, s.propagations
-                        );
-                        match outcome {
+                        let stats = [
+                            ("vars", Json::from(s.vars)),
+                            ("clauses", s.clauses.into()),
+                            ("conflicts", s.conflicts.into()),
+                            ("decisions", s.decisions.into()),
+                            ("propagations", s.propagations.into()),
+                        ];
+                        row.push(("obligation", obligation.into()));
+                        let verdict = match outcome {
                             hwperm_verify::ProveOutcome::Proved(_) => {
-                                if json {
-                                    out.push_str(&format!(
-                                        "{{\"circuit\":\"{fam}\",\"n\":{n},\
-                                         \"obligation\":\"{obligation}\",\
-                                         \"verdict\":\"proved\",{stats_json}}}"
-                                    ));
-                                } else {
-                                    out.push_str(&format!(
-                                        "== {fam} (n = {n}) ==\n\
-                                         obligation: {obligation}\n\
-                                         proved ({stats_text})\n"
-                                    ));
-                                }
+                                row.push(("verdict", "proved".into()));
+                                format!("proved ({stats_text})")
                             }
                             hwperm_verify::ProveOutcome::Refuted(mismatch, _) => {
                                 failures += 1;
-                                if json {
-                                    out.push_str(&format!(
-                                        "{{\"circuit\":\"{fam}\",\"n\":{n},\
-                                         \"obligation\":\"{obligation}\",\
-                                         \"verdict\":\"refuted\",\
-                                         \"counterexample\":{{\"index\":{},\
-                                         \"port\":\"{}\",\"got\":{},\"want\":{}}},\
-                                         {stats_json}}}",
-                                        mismatch.index, mismatch.port, mismatch.got, mismatch.want
-                                    ));
-                                } else {
-                                    out.push_str(&format!(
-                                        "== {fam} (n = {n}) ==\n\
-                                         obligation: {obligation}\n\
-                                         REFUTED: {mismatch} ({stats_text})\n"
-                                    ));
-                                }
+                                let counterexample = Json::obj([
+                                    ("index", Json::from(mismatch.index)),
+                                    ("port", mismatch.port.as_str().into()),
+                                    ("got", mismatch.got.into()),
+                                    ("want", mismatch.want.into()),
+                                ]);
+                                row.push(("verdict", "refuted".into()));
+                                row.push(("counterexample", counterexample));
+                                format!("REFUTED: {mismatch} ({stats_text})")
                             }
                             hwperm_verify::ProveOutcome::Unknown(_) => {
                                 failures += 1;
-                                if json {
-                                    out.push_str(&format!(
-                                        "{{\"circuit\":\"{fam}\",\"n\":{n},\
-                                         \"obligation\":\"{obligation}\",\
-                                         \"verdict\":\"unknown\",{stats_json}}}"
-                                    ));
-                                } else {
-                                    out.push_str(&format!(
-                                        "== {fam} (n = {n}) ==\n\
-                                         obligation: {obligation}\n\
-                                         unknown: conflict budget exhausted ({stats_text})\n"
-                                    ));
-                                }
+                                row.push(("verdict", "unknown".into()));
+                                format!("unknown: conflict budget exhausted ({stats_text})")
                             }
-                        }
+                        };
+                        row.extend(stats);
+                        format!("obligation: {obligation}\n{verdict}")
                     }
                     Err(e) => {
                         failures += 1;
-                        if json {
-                            out.push_str(&format!(
-                                "{{\"circuit\":\"{fam}\",\"n\":{n},\
-                                 \"verdict\":\"invalid\",\"error\":\"{}\"}}",
-                                e.0.replace('"', "\\\"")
-                            ));
-                        } else {
-                            out.push_str(&format!("== {fam} (n = {n}) ==\ninvalid: {e}\n"));
-                        }
+                        let text = format!("invalid: {e}");
+                        row.push(("verdict", "invalid".into()));
+                        row.push(("error", Json::Str(e.0)));
+                        text
                     }
-                }
+                };
+                rows.push(Json::obj(row));
+                out.push_str(&format!("== {fam} (n = {n}) ==\n{text}\n"));
             }
             if json {
-                out = json_envelope("prove", failures, &out);
+                out = format!("{}\n", envelope("prove", failures, rows, None));
             }
             if failures > 0 {
                 return Err(err(format!(
@@ -1544,6 +1514,30 @@ mod tests {
     fn call(args: &[&str]) -> Result<String, CliError> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         run(&owned)
+    }
+
+    /// Parses a `--json` output, checks its envelope names `command`
+    /// with `status`, and returns the `results` rows.
+    fn json_results(out: &str, command: &str, status: &str) -> Vec<Json> {
+        let doc = Json::parse(out.as_bytes()).unwrap_or_else(|e| panic!("{e}: {out}"));
+        let field = |key: &str| doc.get(key).and_then(Json::as_str);
+        assert_eq!(field("tool"), Some("hwperm"), "{out}");
+        assert_eq!(field("command"), Some(command), "{out}");
+        assert_eq!(field("status"), Some(status), "{out}");
+        doc.get("results")
+            .and_then(Json::as_array)
+            .unwrap_or_else(|| panic!("no results array: {out}"))
+            .to_vec()
+    }
+
+    /// `row[key]` as a string, or `None`.
+    fn str_field<'a>(row: &'a Json, key: &str) -> Option<&'a str> {
+        row.get(key).and_then(Json::as_str)
+    }
+
+    /// `row[key]` as an unsigned integer, or `None`.
+    fn u64_field(row: &Json, key: &str) -> Option<u64> {
+        row.get(key).and_then(Json::as_u64)
     }
 
     #[test]
@@ -1737,14 +1731,24 @@ mod tests {
     #[test]
     fn faults_json_is_machine_readable() {
         let out = call(&["faults", "4", "--json"]).unwrap();
-        assert!(out.starts_with("{\"tool\":\"hwperm\""), "{out}");
-        assert!(out.trim_end().ends_with('}'), "{out}");
-        assert!(out.contains("\"command\":\"faults\""), "{out}");
-        assert!(out.contains("\"status\":\"ok\",\"exit\":0"), "{out}");
-        assert!(out.contains("\"circuit\":\"converter\""), "{out}");
-        assert!(out.contains("\"width\":512"), "{out}");
-        assert!(out.contains("\"coverage_percent\":"), "{out}");
-        assert!(out.contains("\"silent_faults\":[{\"fault\":\""), "{out}");
+        assert!(out.ends_with("}\n"), "{out}");
+        let rows = json_results(&out, "faults", "ok");
+        let [row] = rows.as_slice() else {
+            panic!("one row per family: {out}")
+        };
+        assert_eq!(str_field(row, "circuit"), Some("converter"), "{out}");
+        assert_eq!(u64_field(row, "width"), Some(512), "{out}");
+        let total = u64_field(row, "faults").unwrap();
+        let parts = ["detected", "silent", "masked"].map(|k| u64_field(row, k).unwrap());
+        assert_eq!(parts.iter().sum::<u64>(), total, "{out}");
+        assert!(
+            matches!(row.get("coverage_percent"), Some(Json::Num(raw)) if raw.contains('.')),
+            "{out}"
+        );
+        let silent = row.get("silent_faults").and_then(Json::as_array).unwrap();
+        assert_eq!(silent.len() as u64, parts[1], "{out}");
+        assert!(str_field(&silent[0], "fault").is_some(), "{out}");
+        assert!(u64_field(&silent[0], "witness").is_some(), "{out}");
     }
 
     #[test]
@@ -1753,9 +1757,8 @@ mod tests {
         // report carries no width so the verdicts must come back
         // byte-identical at 64, 256 and 512 lanes per pass.
         let json = call(&["faults", "3", "--json", "--width", "256"]).unwrap();
-        assert!(json.starts_with("{\"tool\":\"hwperm\""), "{json}");
-        assert!(json.contains("\"status\":\"ok\",\"exit\":0"), "{json}");
-        assert!(json.contains("\"width\":256"), "{json}");
+        let rows = json_results(&json, "faults", "ok");
+        assert_eq!(u64_field(&rows[0], "width"), Some(256), "{json}");
         let narrow = call(&["faults", "3", "--family", "all", "--width", "64"]).unwrap();
         for width in ["256", "512"] {
             assert_eq!(
@@ -1813,27 +1816,44 @@ mod tests {
     #[test]
     fn lint_json_is_machine_readable() {
         let out = call(&["lint", "rank", "4", "--json"]).unwrap();
-        assert!(out.starts_with("{\"tool\":\"hwperm\""), "{out}");
-        assert!(out.trim_end().ends_with('}'), "{out}");
-        assert!(out.contains("\"command\":\"lint\""), "{out}");
-        assert!(out.contains("\"circuit\":\"rank\""), "{out}");
-        assert!(out.contains("\"n\":4"), "{out}");
-        assert!(out.contains("\"tape\":{\"ops\":"), "{out}");
-        assert!(out.contains("\"fused_away\":"), "{out}");
-        assert!(out.contains("\"op_counts\":{\""), "{out}");
-        assert!(out.contains("\"diagnostics\""), "{out}");
+        let rows = json_results(&out, "lint", "ok");
+        let row = &rows[0];
+        assert_eq!(str_field(row, "circuit"), Some("rank"), "{out}");
+        assert_eq!(u64_field(row, "n"), Some(4), "{out}");
+        let tape = row.get("tape").unwrap();
+        assert!(u64_field(tape, "ops").is_some(), "{out}");
+        assert!(u64_field(tape, "fused_away").is_some(), "{out}");
+        let Some(Json::Obj(op_counts)) = tape.get("op_counts") else {
+            panic!("op_counts object: {out}")
+        };
+        assert!(!op_counts.is_empty(), "{out}");
+        let report = row.get("report").unwrap();
+        assert_eq!(u64_field(report, "errors"), Some(0), "{out}");
+        assert!(
+            report.get("diagnostics").and_then(Json::as_array).is_some(),
+            "{out}"
+        );
     }
 
-    /// Pulls the integer value of `key` out of a lint JSON row.
-    fn json_usize(out: &str, key: &str) -> usize {
-        let key = format!("\"{key}\":");
-        let at = out.find(&key).unwrap_or_else(|| panic!("{key} in {out}"));
-        out[at + key.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
+    #[test]
+    fn json_output_is_well_formed() {
+        // An unused bit on a port with a quote in its name exercises
+        // both the diagnostics array and the string escaping.
+        let mut b = hwperm_logic::Builder::new();
+        let x = b.input_bus("x\"quoted", 2);
+        b.output_bus("y", &[x[0]]);
+        let report = hwperm_lint::lint_netlist(&b.finish());
+        let json = lint_report_json(&report).to_string();
+        let doc = Json::parse(json.as_bytes()).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(u64_field(&doc, "warnings"), Some(1), "{json}");
+        let diagnostics = doc.get("diagnostics").and_then(Json::as_array).unwrap();
+        let unused = diagnostics
+            .iter()
+            .find(|d| str_field(d, "lint") == Some("unused-input"))
+            .unwrap_or_else(|| panic!("no unused-input diagnostic: {json}"));
+        assert_eq!(str_field(unused, "severity"), Some("warn"), "{json}");
+        let ports = unused.get("ports").and_then(Json::as_array).unwrap();
+        assert_eq!(ports, [Json::from("x\"quoted")], "{json}");
     }
 
     #[test]
@@ -1849,9 +1869,10 @@ mod tests {
         ] {
             for n in ["4", "5"] {
                 let out = call(&["lint", family, n, "--json"]).unwrap();
-                let ops = json_usize(&out, "ops");
-                let unfused = json_usize(&out, "unfused_ops");
-                let saved = json_usize(&out, "fused_away");
+                let rows = json_results(&out, "lint", "ok");
+                let tape = rows[0].get("tape").unwrap();
+                let [ops, unfused, saved] =
+                    ["ops", "unfused_ops", "fused_away"].map(|k| u64_field(tape, k).unwrap());
                 assert_eq!(ops + saved, unfused, "{family} n={n}: {out}");
                 assert!(saved > 0, "{family} n={n}: fusion saved nothing: {out}");
             }
@@ -1891,12 +1912,51 @@ mod tests {
     #[test]
     fn prove_json_is_machine_readable() {
         let out = call(&["prove", "4", "--family", "rank", "--json"]).unwrap();
-        assert!(out.starts_with("{\"tool\":\"hwperm\""), "{out}");
-        assert!(out.contains("\"command\":\"prove\""), "{out}");
-        assert!(out.contains("\"circuit\":\"rank\""), "{out}");
-        assert!(out.contains("\"verdict\":\"proved\""), "{out}");
-        assert!(out.contains("\"conflicts\":"), "{out}");
-        assert!(out.contains("\"propagations\":"), "{out}");
+        let rows = json_results(&out, "prove", "ok");
+        let row = &rows[0];
+        assert_eq!(str_field(row, "circuit"), Some("rank"), "{out}");
+        assert_eq!(str_field(row, "verdict"), Some("proved"), "{out}");
+        assert!(str_field(row, "obligation").is_some(), "{out}");
+        for key in ["vars", "clauses", "conflicts", "decisions", "propagations"] {
+            assert!(u64_field(row, key).is_some(), "{key}: {out}");
+        }
+    }
+
+    #[test]
+    fn prove_json_error_carries_the_store_dir_verbatim() {
+        // A store directory with a backslash and a quote in its name,
+        // plus one corrupted chunk: the `invalid` row's error names the
+        // directory, and the output must still be valid JSON.
+        let dir =
+            std::env::temp_dir().join(format!("hwperm-cli-st\\ore\"x-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_str().unwrap().to_string();
+        call(&["store", "build", "6", "--dir", &dir_arg]).unwrap();
+        let chunk = hwperm_store::table_dir(&dir, 6).join(hwperm_store::chunk_file_name(0));
+        let mut bytes = std::fs::read(&chunk).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&chunk, bytes).unwrap();
+        let e = call(&[
+            "prove",
+            "6",
+            "--family",
+            "converter",
+            "--store",
+            &dir_arg,
+            "--json",
+        ])
+        .unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (head, out) = e.0.split_once('\n').unwrap();
+        assert_eq!(head, "prove failed 1 obligation(s)");
+        let rows = json_results(out, "prove", "error");
+        assert_eq!(str_field(&rows[0], "verdict"), Some("invalid"), "{out}");
+        let error = str_field(&rows[0], "error").unwrap();
+        assert!(
+            error.contains(&dir_arg),
+            "{error:?} does not name {dir_arg:?}"
+        );
     }
 
     #[test]

@@ -89,13 +89,8 @@ impl Response {
 
     /// Whether the envelope reports `"status":"ok"`.
     pub fn is_ok(&self) -> bool {
-        matches!(
-            self.json().ok().and_then(|j| match j.get("status") {
-                Some(Json::Str(s)) => Some(s == "ok"),
-                _ => None,
-            }),
-            Some(true)
-        )
+        self.json()
+            .is_ok_and(|j| j.get("status").and_then(Json::as_str) == Some("ok"))
     }
 
     /// All chunk words reassembled in `base` order — the shard-count-

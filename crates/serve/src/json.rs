@@ -1,10 +1,13 @@
-//! A minimal, allocation-bounded JSON reader for untrusted request
-//! payloads.
+//! The workspace's one JSON module (it carries no serde). Every JSON
+//! document the workspace prints — `hwperm lint|faults|prove|store
+//! --json`, every `hwperm serve` response, the `BENCH_*.json` records —
+//! is a [`Json`] tree rendered by its compact
+//! [`Display`](std::fmt::Display) impl (no whitespace, keys in
+//! insertion order, [`Json::Num`] text verbatim so callers keep their
+//! precision), responses inside the one [`envelope`].
 //!
-//! The workspace carries no serde (no crates.io access), and every
-//! other JSON producer here hand-formats its output — but the server
-//! must also *parse* JSON that a hostile client controls. This module
-//! is that parser: recursive descent over a byte slice with
+//! [`Json::parse`] reads JSON that a hostile client controls: recursive
+//! descent over a byte slice with
 //!
 //! - a hard nesting-depth cap ([`MAX_DEPTH`]) so a `[[[[…` bomb cannot
 //!   blow the stack,
@@ -13,6 +16,8 @@
 //! - numbers kept as their raw text — `as_u64` re-parses the digits,
 //!   so a 64-bit index never loses precision through an `f64`,
 //! - and no panics on any input (pinned by the fuzz suite).
+
+use std::fmt::{self, Write as _};
 
 /// Maximum container nesting depth accepted by [`Json::parse`].
 pub const MAX_DEPTH: usize = 64;
@@ -95,11 +100,6 @@ impl Json {
         }
     }
 
-    /// [`Json::as_u64`] narrowed to `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -115,25 +115,124 @@ impl Json {
             _ => None,
         }
     }
-}
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    /// An object with `fields` in the given order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `v` with exactly `places` decimals (`{:.places$}`); `null` when
+    /// `v` is NaN or infinite, which JSON numbers cannot spell.
+    pub fn fixed(v: f64, places: usize) -> Json {
+        if v.is_finite() {
+            Json::Num(format!("{v:.places$}"))
+        } else {
+            Json::Null
         }
     }
-    out
+}
+
+/// Writes `s` as a JSON string literal: `"` and `\` backslash-escaped,
+/// `\n`/`\r`/`\t` by name, every other control character below 0x20
+/// as `\u00xx`, everything else (non-ASCII included) verbatim.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
+/// The compact rendering: no whitespace, keys in insertion order,
+/// numbers as their stored text. Re-parsing it yields an equal value.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            Json::Num(raw) => f.write_str(raw),
+            Json::Str(s) => write_escaped(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_escaped(f, key)?;
+                    f.write_char(':')?;
+                    value.fmt(f)?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+macro_rules! json_from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v.to_string())
+            }
+        }
+    )*};
+}
+
+json_from_integer!(u32, u64, u128, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+/// Collects values into a [`Json::Arr`].
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Json {
+        Json::Arr(iter.into_iter().map(Into::into).collect())
+    }
+}
+
+/// The response envelope every JSON verdict shares — `hwperm
+/// lint|faults|prove|store --json` and every `hwperm serve` response:
+/// `{"tool","version","command","status","exit","errors","results"}`,
+/// plus serve's per-request `"metrics"` trailer when given. `status`
+/// is `"ok"` (exit 0) when `errors` is 0, `"error"` (exit 2) otherwise.
+pub fn envelope(command: &str, errors: usize, results: Vec<Json>, metrics: Option<Json>) -> Json {
+    let (status, exit) = if errors == 0 {
+        ("ok", 0u32)
+    } else {
+        ("error", 2)
+    };
+    let mut fields = vec![
+        ("tool", Json::from("hwperm")),
+        ("version", env!("CARGO_PKG_VERSION").into()),
+        ("command", command.into()),
+        ("status", status.into()),
+        ("exit", exit.into()),
+        ("errors", errors.into()),
+        ("results", Json::Arr(results)),
+    ];
+    fields.extend(metrics.map(|m| ("metrics", m)));
+    Json::obj(fields)
 }
 
 impl<'a> Parser<'a> {
@@ -396,7 +495,32 @@ mod tests {
     fn escapes_roundtrip() {
         let v = Json::parse(br#""a\"b\\c\nd\u0041\u00e9\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAé😀"));
-        assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
+        assert_eq!(
+            Json::from("a\"b\\c\n\r\t\u{1}\u{1f}é").to_string(),
+            "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001fé\""
+        );
+    }
+
+    #[test]
+    fn writer_is_compact_ordered_and_verbatim() {
+        let doc = Json::obj([
+            ("z", Json::from(1u64)),
+            ("a", Json::fixed(2.0 / 3.0, 3)),
+            ("raw", Json::Num("1e3".into())),
+            ("list", [1u32, 2].into_iter().collect()),
+            (
+                "k\"ey",
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::obj::<&str>([])]),
+            ),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            r#"{"z":1,"a":0.667,"raw":1e3,"list":[1,2],"k\"ey":[null,true,{}]}"#
+        );
+        assert_eq!(Json::parse(text.as_bytes()).unwrap(), doc);
+        assert_eq!(Json::fixed(f64::NAN, 2), Json::Null);
+        assert_eq!(Json::fixed(f64::INFINITY, 0), Json::Null);
     }
 
     #[test]

@@ -55,10 +55,10 @@ pub use client::{
 pub use frame::{
     encode_frame, read_frame, write_frame, FrameError, KIND_BLOCK, KIND_JSON, MAX_FRAME,
 };
-pub use json::{Json, JsonError};
+pub use json::{envelope, Json, JsonError};
 pub use protocol::{
-    decode_chunk, encode_chunk, envelope, error_result, parse_request, request_attempt, BlockChunk,
-    Request, RequestError, CHUNK_CAP, CHUNK_FLAG_LAST, CHUNK_HEADER, DEFAULT_CHUNK,
+    decode_chunk, encode_chunk, error_result, parse_request, request_attempt, BlockChunk, Request,
+    RequestError, CHUNK_CAP, CHUNK_FLAG_LAST, CHUNK_HEADER, DEFAULT_CHUNK,
 };
 pub use server::{
     serve, spawn, Endpoint, Listener, ServeOptions, ServeSummary, ServerHandle, DEADLINE_MSG,

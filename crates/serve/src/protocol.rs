@@ -29,8 +29,8 @@
 //! Chunks of one request may arrive in any base order when the worker
 //! pool shards the range; the envelope always arrives last.
 
-use crate::frame::{KIND_BLOCK, MAX_FRAME};
-use crate::json::{escape, Json};
+use crate::frame::{encode_frame, KIND_BLOCK, KIND_JSON, MAX_FRAME};
+use crate::json::{envelope, Json};
 
 /// Cap on the `chunk` request field (packed words per binary frame):
 /// 65 536 words = 512 KiB of payload, comfortably under the frame cap.
@@ -292,32 +292,29 @@ pub fn parse_request(payload: &[u8], default_chunk: usize) -> Result<(u64, Reque
     Ok((id, request))
 }
 
-/// Builds the response envelope — the shared
-/// `{"tool","version","command","status","exit","errors","results"}`
-/// schema of `lint --json` / `faults --json` / `prove --json`, plus the
-/// serve-specific `"metrics"` trailer `{id, micros, bytes_in}`.
-pub fn envelope(
+/// One response as wire bytes: the shared [`envelope`] around
+/// `results` with serve's `{id, micros, bytes_in}` metrics trailer,
+/// newline-terminated and framed as a [`KIND_JSON`] frame.
+pub(crate) fn response_frame(
     command: &str,
     ok: bool,
-    results: &str,
+    results: Json,
     id: u64,
     micros: u64,
     bytes_in: u64,
 ) -> Vec<u8> {
-    let (status, exit, errors) = if ok { ("ok", 0, 0) } else { ("error", 2, 1) };
-    format!(
-        "{{\"tool\":\"hwperm\",\"version\":\"{}\",\"command\":\"{command}\",\
-         \"status\":\"{status}\",\"exit\":{exit},\"errors\":{errors},\
-         \"results\":[{results}],\"metrics\":{{\"id\":{id},\"micros\":{micros},\
-         \"bytes_in\":{bytes_in}}}}}\n",
-        env!("CARGO_PKG_VERSION"),
-    )
-    .into_bytes()
+    let metrics = Json::obj([
+        ("id", id.into()),
+        ("micros", micros.into()),
+        ("bytes_in", bytes_in.into()),
+    ]);
+    let env = envelope(command, usize::from(!ok), vec![results], Some(metrics));
+    encode_frame(KIND_JSON, format!("{env}\n").as_bytes())
 }
 
 /// The error-envelope result object for `message`.
-pub fn error_result(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", escape(message))
+pub fn error_result(message: &str) -> Json {
+    Json::obj([("error", Json::from(message))])
 }
 
 /// One decoded binary chunk frame.
@@ -615,28 +612,20 @@ mod tests {
 
     #[test]
     fn envelope_matches_the_cli_schema_prefix() {
-        let env = envelope("unrank", true, "{\"x\":1}", 7, 0, 33);
-        let text = String::from_utf8(env).unwrap();
-        let prefix = format!(
-            "{{\"tool\":\"hwperm\",\"version\":\"{}\",\"command\":\"unrank\",\
-             \"status\":\"ok\",\"exit\":0,\"errors\":0,\"results\":[",
-            env!("CARGO_PKG_VERSION")
+        let frame = response_frame("unrank", true, Json::obj([("x", 1u64.into())]), 7, 0, 33);
+        assert_eq!(frame[4], KIND_JSON);
+        let text = String::from_utf8(frame[5..].to_vec()).unwrap();
+        assert_eq!(
+            text,
+            format!(
+                "{{\"tool\":\"hwperm\",\"version\":\"{}\",\"command\":\"unrank\",\
+                 \"status\":\"ok\",\"exit\":0,\"errors\":0,\"results\":[{{\"x\":1}}],\
+                 \"metrics\":{{\"id\":7,\"micros\":0,\"bytes_in\":33}}}}\n",
+                env!("CARGO_PKG_VERSION")
+            )
         );
-        assert!(text.starts_with(&prefix), "{text}");
-        assert!(
-            text.trim_end()
-                .ends_with("],\"metrics\":{\"id\":7,\"micros\":0,\"bytes_in\":33}}"),
-            "{text}"
-        );
-        let err = String::from_utf8(envelope(
-            "error",
-            false,
-            &error_result("boom \"x\""),
-            0,
-            0,
-            4,
-        ))
-        .unwrap();
+        let err = response_frame("error", false, error_result("boom \"x\""), 0, 0, 4);
+        let err = String::from_utf8(err[5..].to_vec()).unwrap();
         assert!(
             err.contains("\"status\":\"error\",\"exit\":2,\"errors\":1"),
             "{err}"

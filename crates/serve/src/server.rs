@@ -39,9 +39,11 @@
 //! aggregate [`ServeSummary`].
 
 use crate::client::Client;
-use crate::frame::{encode_frame, read_frame, KIND_BLOCK, KIND_JSON};
+use crate::frame::{read_frame, KIND_BLOCK};
+use crate::json::Json;
 use crate::protocol::{
-    envelope, error_result, parse_request, ChunkFrame, Request, CHUNK_FLAG_LAST, DEFAULT_CHUNK,
+    error_result, parse_request, response_frame, ChunkFrame, Request, CHUNK_FLAG_LAST,
+    DEFAULT_CHUNK,
 };
 use hwperm_circuits::{converter_netlist, ConverterOptions};
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
@@ -364,29 +366,27 @@ impl Stats {
     /// does not race the writer thread's progress. `uptime_ms` is the
     /// caller-supplied wall clock (pinned by `fixed_micros` in the
     /// golden transcripts).
-    fn render(&self, uptime_ms: u64) -> String {
+    fn render(&self, uptime_ms: u64) -> Json {
+        let load = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));
         let commands = COMMANDS
             .iter()
             .zip(&self.commands)
-            .map(|(name, count)| format!("\"{name}\":{}", count.load(Ordering::Relaxed)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"type\":\"stats\",\"connections\":{},\"requests\":{},\"errors\":{},\
-             \"bytes_in\":{},\"bytes_out\":{},\"chunks\":{},\"micros\":{},\
-             \"uptime_ms\":{uptime_ms},\"conns_rejected\":{},\"requests_timed_out\":{},\
-             \"retries_observed\":{},\"commands\":{{{commands}}}}}",
-            self.connections.load(Ordering::Relaxed),
-            self.requests.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.bytes_in.load(Ordering::Relaxed),
-            self.bytes_out.load(Ordering::Relaxed),
-            self.chunks.load(Ordering::Relaxed),
-            self.micros.load(Ordering::Relaxed),
-            self.conns_rejected.load(Ordering::Relaxed),
-            self.requests_timed_out.load(Ordering::Relaxed),
-            self.retries_observed.load(Ordering::Relaxed),
-        )
+            .map(|(name, count)| (*name, load(count)));
+        Json::obj([
+            ("type", Json::from("stats")),
+            ("connections", load(&self.connections)),
+            ("requests", load(&self.requests)),
+            ("errors", load(&self.errors)),
+            ("bytes_in", load(&self.bytes_in)),
+            ("bytes_out", load(&self.bytes_out)),
+            ("chunks", load(&self.chunks)),
+            ("micros", load(&self.micros)),
+            ("uptime_ms", uptime_ms.into()),
+            ("conns_rejected", load(&self.conns_rejected)),
+            ("requests_timed_out", load(&self.requests_timed_out)),
+            ("retries_observed", load(&self.retries_observed)),
+            ("commands", Json::obj(commands)),
+        ])
     }
 }
 
@@ -673,7 +673,7 @@ impl ReqCtx {
             .stats
             .requests_timed_out
             .fetch_add(1, Ordering::Relaxed);
-        self.respond(command, false, &error_result(DEADLINE_MSG), id);
+        self.respond(command, false, error_result(DEADLINE_MSG), id);
     }
 
     fn micros(&self) -> u64 {
@@ -686,17 +686,14 @@ impl ReqCtx {
     /// Builds and enqueues the envelope; counts latency, errors and
     /// outbound bytes. Send failures mean the connection died — the
     /// work is simply dropped.
-    fn respond(&self, command: &str, ok: bool, results: &str, id: u64) {
+    fn respond(&self, command: &str, ok: bool, results: Json, id: u64) {
         let micros = self.micros();
         let stats = &self.shared.stats;
         stats.micros.fetch_add(micros, Ordering::Relaxed);
         if !ok {
             stats.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let wire = encode_frame(
-            KIND_JSON,
-            &envelope(command, ok, results, id, micros, self.bytes_in),
-        );
+        let wire = response_frame(command, ok, results, id, micros, self.bytes_in);
         stats
             .bytes_out
             .fetch_add(wire.len() as u64, Ordering::Relaxed);
@@ -712,15 +709,6 @@ impl ReqCtx {
         stats.chunks.fetch_add(1, Ordering::Relaxed);
         let _ = self.sender.send(wire);
     }
-}
-
-fn render_perm(perm: &[u32]) -> String {
-    let body = perm
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("[{body}]")
 }
 
 /// One `block` request in flight: the context every shard shares plus
@@ -811,20 +799,19 @@ fn finish_block(state: &Arc<BlockState>) {
     if let Some(message) = state.failed.lock().expect("block failure lock").take() {
         state
             .ctx
-            .respond("block", false, &error_result(&message), state.id);
+            .respond("block", false, error_result(&message), state.id);
         return;
     }
-    let results = format!(
-        "{{\"type\":\"block\",\"n\":{},\"start\":{},\"end\":{},\"chunk\":{},\
-         \"chunks\":{},\"words\":{}}}",
-        state.n,
-        state.start,
-        state.end,
-        state.chunk,
-        state.chunks_total,
-        state.end - state.start,
-    );
-    state.ctx.respond("block", true, &results, state.id);
+    let results = Json::obj([
+        ("type", Json::from("block")),
+        ("n", state.n.into()),
+        ("start", state.start.into()),
+        ("end", state.end.into()),
+        ("chunk", state.chunk.into()),
+        ("chunks", state.chunks_total.into()),
+        ("words", (state.end - state.start).into()),
+    ]);
+    state.ctx.respond("block", true, results, state.id);
 }
 
 /// Parses and executes one request. Runs on a pool worker.
@@ -840,7 +827,7 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
         Ok(parsed) => parsed,
         Err(e) => {
             stats.commands[command_slot(&e.command)].fetch_add(1, Ordering::Relaxed);
-            ctx.respond(&e.command, false, &error_result(&e.message), e.id);
+            ctx.respond(&e.command, false, error_result(&e.message), e.id);
             return;
         }
     };
@@ -848,27 +835,29 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
     match request {
         Request::Unrank { n, index } => {
             let perm = Unranker::new(n).unrank(index);
-            let results = format!(
-                "{{\"type\":\"unrank\",\"n\":{n},\"index\":{index},\"perm\":{},\"packed\":{}}}",
-                render_perm(perm.as_slice()),
-                perm.pack_u64(),
-            );
-            ctx.respond("unrank", true, &results, id);
+            let results = Json::obj([
+                ("type", Json::from("unrank")),
+                ("n", n.into()),
+                ("index", index.into()),
+                ("perm", perm.as_slice().iter().copied().collect()),
+                ("packed", perm.pack_u64().into()),
+            ]);
+            ctx.respond("unrank", true, results, id);
         }
         Request::Rank { perm } => match Permutation::try_from_vec(perm) {
             Ok(perm) => {
-                let results = format!(
-                    "{{\"type\":\"rank\",\"n\":{},\"perm\":{},\"index\":{}}}",
-                    perm.n(),
-                    render_perm(perm.as_slice()),
-                    rank_u64(&perm),
-                );
-                ctx.respond("rank", true, &results, id);
+                let results = Json::obj([
+                    ("type", Json::from("rank")),
+                    ("n", perm.n().into()),
+                    ("perm", perm.as_slice().iter().copied().collect()),
+                    ("index", rank_u64(&perm).into()),
+                ]);
+                ctx.respond("rank", true, results, id);
             }
             Err(e) => ctx.respond(
                 "rank",
                 false,
-                &error_result(&format!("perm is not a permutation: {e}")),
+                error_result(&format!("perm is not a permutation: {e}")),
                 id,
             ),
         },
@@ -900,7 +889,7 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                     ctx.respond(
                         "block",
                         false,
-                        &error_result(&format!("store error: {e}")),
+                        error_result(&format!("store error: {e}")),
                         id,
                     );
                     return;
@@ -976,13 +965,24 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                 drawn += take as u64;
             }
             let guard = source.stats();
-            let results = format!(
-                "{{\"type\":\"random-stream\",\"n\":{n},\"count\":{count},\"seed\":{seed},\
-                 \"chunk\":{chunk},\"chunks\":{seq},\"words\":{count},\
-                 \"guard\":{{\"detected\":{},\"retried\":{},\"fell_back\":{}}}}}",
-                guard.detected, guard.retried, guard.fell_back,
-            );
-            ctx.respond("random-stream", true, &results, id);
+            let results = Json::obj([
+                ("type", Json::from("random-stream")),
+                ("n", n.into()),
+                ("count", count.into()),
+                ("seed", seed.into()),
+                ("chunk", chunk.into()),
+                ("chunks", seq.into()),
+                ("words", count.into()),
+                (
+                    "guard",
+                    Json::obj([
+                        ("detected", guard.detected.into()),
+                        ("retried", guard.retried.into()),
+                        ("fell_back", guard.fell_back.into()),
+                    ]),
+                ),
+            ]);
+            ctx.respond("random-stream", true, results, id);
         }
         Request::Verify { n, jobs } => {
             // The sharded sweep has no mid-flight checkpoint; honor
@@ -998,47 +998,46 @@ fn handle_request(ctx: ReqCtx, payload: Vec<u8>) {
                     ctx.respond(
                         "verify",
                         false,
-                        &error_result(&format!("store error: {e}")),
+                        error_result(&format!("store error: {e}")),
                         id,
                     );
                     return;
                 }
             };
-            match sweep.check(jobs) {
+            let mut results = vec![
+                ("type", Json::from("verify")),
+                ("n", n.into()),
+                ("workers", jobs.into()),
+                ("total", sweep.len().into()),
+            ];
+            let ok = match sweep.check(jobs) {
                 Ok(()) => {
-                    let results = format!(
-                        "{{\"type\":\"verify\",\"n\":{n},\"workers\":{jobs},\"total\":{},\
-                         \"verdict\":\"ok\"}}",
-                        sweep.len(),
-                    );
-                    ctx.respond("verify", true, &results, id);
+                    results.push(("verdict", "ok".into()));
+                    true
                 }
                 Err(m) => {
-                    let results = format!(
-                        "{{\"type\":\"verify\",\"n\":{n},\"workers\":{jobs},\"total\":{},\
-                         \"verdict\":\"mismatch\",\"index\":{},\"port\":\"{}\",\
-                         \"got\":{},\"want\":{}}}",
-                        sweep.len(),
-                        m.index,
-                        crate::json::escape(&m.port),
-                        m.got,
-                        m.want,
-                    );
-                    ctx.respond("verify", false, &results, id);
+                    results.extend([
+                        ("verdict", "mismatch".into()),
+                        ("index", m.index.into()),
+                        ("port", Json::Str(m.port)),
+                        ("got", m.got.into()),
+                        ("want", m.want.into()),
+                    ]);
+                    false
                 }
-            }
+            };
+            ctx.respond("verify", ok, Json::obj(results), id);
         }
         Request::Stats => {
             let results = ctx.shared.stats.render(ctx.shared.uptime_ms());
-            ctx.respond("stats", true, &results, id);
+            ctx.respond("stats", true, results, id);
         }
         Request::Shutdown => {
-            ctx.respond(
-                "shutdown",
-                true,
-                "{\"type\":\"shutdown\",\"stopping\":true}",
-                id,
-            );
+            let results = Json::obj([
+                ("type", Json::from("shutdown")),
+                ("stopping", Json::Bool(true)),
+            ]);
+            ctx.respond("shutdown", true, results, id);
             ctx.shared.trigger_stop();
         }
     }
@@ -1107,7 +1106,7 @@ fn handle_connection(shared: Arc<Shared>, mut read_half: Stream, conn_id: u64) {
                         ctx.respond(
                             "error",
                             false,
-                            &error_result("binary frames flow server to client only"),
+                            error_result("binary frames flow server to client only"),
                             0,
                         );
                         continue;
@@ -1122,7 +1121,7 @@ fn handle_connection(shared: Arc<Shared>, mut read_half: Stream, conn_id: u64) {
                     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                     shared.stats.commands[command_slot("error")].fetch_add(1, Ordering::Relaxed);
                     let ctx = ReqCtx::new(sender.clone(), Arc::clone(&shared), 0);
-                    ctx.respond("error", false, &error_result(&e.to_string()), 0);
+                    ctx.respond("error", false, error_result(&e.to_string()), 0);
                     break;
                 }
             }
@@ -1144,10 +1143,10 @@ fn handle_connection(shared: Arc<Shared>, mut read_half: Stream, conn_id: u64) {
 fn shed_connection(shared: &Shared, stream: Stream) {
     shared.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(shared.drain_budget_ms().max(1))));
-    let busy = envelope(
+    let wire = response_frame(
         "busy",
         false,
-        &error_result(&format!(
+        error_result(&format!(
             "server busy: connection limit of {} reached, retry later",
             shared.options.max_conns
         )),
@@ -1155,7 +1154,6 @@ fn shed_connection(shared: &Shared, stream: Stream) {
         shared.options.fixed_micros.unwrap_or(0),
         0,
     );
-    let wire = encode_frame(KIND_JSON, &busy);
     let mut stream = stream;
     let _ = stream.write_all(&wire);
     let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -1303,7 +1301,10 @@ impl ServerHandle {
             let response = client
                 .request("{\"cmd\":\"shutdown\"}")
                 .map_err(|e| io::Error::other(e.to_string()))?;
-            if !String::from_utf8_lossy(&response.envelope).contains("\"command\":\"busy\"") {
+            let busy = response
+                .json()
+                .is_ok_and(|j| j.get("command").and_then(Json::as_str) == Some("busy"));
+            if !busy {
                 return self.join_inner();
             }
             thread::sleep(Duration::from_millis(10));

@@ -13,12 +13,12 @@
 
 mod common;
 
-use common::watchdog;
+use common::{watchdog, wire_envelope};
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
 use hwperm_factoradic::{rank_u64, BlockDecoder, Unranker};
 use hwperm_serve::{
-    envelope, error_result, spawn, BlockChunk, ChaosProxy, Client, ClientError, Endpoint, Fault,
-    Listener, RetryClient, RetryPolicy, ServeOptions, CHUNK_FLAG_LAST, STREAM_SPOT_CHECK_EVERY,
+    error_result, spawn, BlockChunk, ChaosProxy, Client, ClientError, Endpoint, Fault, Listener,
+    RetryClient, RetryPolicy, ServeOptions, CHUNK_FLAG_LAST, STREAM_SPOT_CHECK_EVERY,
 };
 use hwperm_verify::shard_ranges;
 
@@ -62,7 +62,7 @@ impl Step {
                 } else {
                     format!("{},\"attempt\":{k}}}", &self.req[..self.req.len() - 1])
                 };
-                envelope(
+                wire_envelope(
                     self.command,
                     self.ok,
                     &self.results,
@@ -200,7 +200,8 @@ fn bad_cmd_step(id: u64) -> Step {
         results: error_result(
             "unknown cmd \"frobnicate\" (commands: unrank | rank | block | random-stream | \
              verify | stats | shutdown)",
-        ),
+        )
+        .to_string(),
         words: None,
         replayable: false,
     }

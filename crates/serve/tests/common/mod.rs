@@ -1,4 +1,6 @@
-//! Shared helpers for the hostile-network integration tests.
+//! Shared helpers for the serve integration tests. Each test binary
+//! uses a subset of them.
+#![allow(dead_code)]
 
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
@@ -31,4 +33,26 @@ where
             panic!("{name}: watchdog fired after {secs}s — the test hung");
         }
     }
+}
+
+/// The exact envelope payload a server sends for `results` (JSON text),
+/// written out by hand as the pinned literal — no call into the
+/// crate's writer — so comparing against it checks the wire bytes.
+pub fn wire_envelope(
+    command: &str,
+    ok: bool,
+    results: &str,
+    id: u64,
+    micros: u64,
+    bytes_in: u64,
+) -> Vec<u8> {
+    let (status, exit, errors) = if ok { ("ok", 0, 0) } else { ("error", 2, 1) };
+    format!(
+        "{{\"tool\":\"hwperm\",\"version\":\"{}\",\"command\":\"{command}\",\
+         \"status\":\"{status}\",\"exit\":{exit},\"errors\":{errors},\
+         \"results\":[{results}],\"metrics\":{{\"id\":{id},\"micros\":{micros},\
+         \"bytes_in\":{bytes_in}}}}}\n",
+        env!("CARGO_PKG_VERSION"),
+    )
+    .into_bytes()
 }

@@ -5,11 +5,10 @@
 
 mod common;
 
-use common::watchdog;
+use common::{watchdog, wire_envelope};
 use hwperm_factoradic::BlockDecoder;
 use hwperm_serve::{
-    envelope, error_result, spawn, Client, Endpoint, Listener, Message, ServeOptions, DEADLINE_MSG,
-    KIND_JSON,
+    error_result, spawn, Client, Endpoint, Listener, Message, ServeOptions, DEADLINE_MSG, KIND_JSON,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -54,10 +53,10 @@ fn accept_gate_sheds_with_pinned_busy_envelope() {
         let Some(Message::Envelope(env)) = shed.read_message().expect("read busy") else {
             panic!("expected the busy envelope");
         };
-        let expected = envelope(
+        let expected = wire_envelope(
             "busy",
             false,
-            &error_result("server busy: connection limit of 1 reached, retry later"),
+            &error_result("server busy: connection limit of 1 reached, retry later").to_string(),
             0,
             0,
             0,
@@ -146,10 +145,11 @@ fn idle_timeout_reaps_silent_connection_with_pinned_envelope() {
         let Some(Message::Envelope(env)) = silent.read_message().expect("read timeout env") else {
             panic!("expected the idle-timeout envelope");
         };
-        let expected = envelope(
+        let expected = wire_envelope(
             "error",
             false,
-            &error_result("idle timeout: no complete frame arrived before the deadline"),
+            &error_result("idle timeout: no complete frame arrived before the deadline")
+                .to_string(),
             0,
             0,
             0,
@@ -236,10 +236,10 @@ fn request_deadline_cancels_long_block_with_pinned_error() {
         // checkpoint after the 1 ms deadline.
         let req = r#"{"id":7,"cmd":"block","n":12,"start":0,"end":1000000,"chunk":4096}"#;
         let response = client.request(req).expect("request");
-        let expected = envelope(
+        let expected = wire_envelope(
             "block",
             false,
-            &error_result(DEADLINE_MSG),
+            &error_result(DEADLINE_MSG).to_string(),
             7,
             0,
             (req.len() + 5) as u64,

@@ -120,8 +120,34 @@ fn frame_kind() -> impl Strategy<Value = u8> {
     })
 }
 
+/// Strings that stress the JSON writer's escaping: quotes,
+/// backslashes, every control character below 0x20, DEL, and non-ASCII
+/// scalars of every UTF-8 length (including U+2028 and astral ones).
+fn tricky_string() -> impl Strategy<Value = String> {
+    prop::collection::vec((0u8..4, any::<u32>()), 0..24).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(class, v)| match class {
+                0 => char::from_u32(v % 0x20).expect("control characters are scalars"),
+                1 => ['"', '\\', '/', '\u{7f}', 'a', ' '][v as usize % 6],
+                2 => ['é', '€', '\u{2028}', '\u{fffd}', '😀'][v as usize % 5],
+                _ => char::from_u32(v % 0x11_0000).unwrap_or('\u{10ffff}'),
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn rendered_strings_parse_back_verbatim(s in tricky_string()) {
+        let text = Json::Str(s.clone()).to_string();
+        prop_assert_eq!(Json::parse(text.as_bytes()), Ok(Json::Str(s.clone())));
+        // Keys go through the same escaper.
+        let doc = Json::obj([(s.clone(), Json::Str(s))]);
+        prop_assert_eq!(Json::parse(doc.to_string().as_bytes()), Ok(doc));
+    }
 
     #[test]
     fn frame_decoder_never_panics_on_arbitrary_bytes(
@@ -205,7 +231,10 @@ proptest! {
     fn json_parser_never_panics_on_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..48),
     ) {
-        let _ = Json::parse(&bytes);
+        // Whatever parses must survive a render and re-parse unchanged.
+        if let Ok(doc) = Json::parse(&bytes) {
+            prop_assert_eq!(Json::parse(doc.to_string().as_bytes()), Ok(doc));
+        }
     }
 
     #[test]
@@ -237,6 +266,7 @@ proptest! {
         let doc = format!("{}{}{}", "[".repeat(deep), n, "]".repeat(deep));
         match Json::parse(doc.as_bytes()) {
             Ok(mut j) => {
+                prop_assert_eq!(Json::parse(j.to_string().as_bytes()), Ok(j.clone()));
                 for _ in 0..deep {
                     let arr = j.as_array().expect("peeled a nested array").to_vec();
                     prop_assert_eq!(arr.len(), 1);

@@ -4,10 +4,13 @@
 //! additionally compared *across* pool sizes — sharding may change how
 //! chunks are cut, never what they carry.
 
+mod common;
+
+use common::wire_envelope;
 use hwperm_core::{FaultPolicy, GuardedPermSource, RandomPermSource, SoftwareRandomSource};
 use hwperm_factoradic::{rank_u64, BlockDecoder, Unranker};
 use hwperm_serve::{
-    envelope, envelope_id, error_result, spawn, BlockChunk, Client, Endpoint, Listener, Message,
+    envelope_id, error_result, spawn, BlockChunk, Client, Endpoint, Listener, Message,
     ServeOptions, CHUNK_FLAG_LAST, STREAM_SPOT_CHECK_EVERY,
 };
 use hwperm_verify::shard_ranges;
@@ -17,8 +20,8 @@ use std::collections::HashMap;
 struct Step {
     id: u64,
     req: String,
-    /// The exact envelope payload, built with the exported
-    /// `protocol::envelope` from library-computed results.
+    /// The exact envelope payload, pinned by hand around
+    /// library-computed results.
     env: Vec<u8>,
     /// For block / random-stream: the packed words, in base order.
     words: Option<Vec<u64>>,
@@ -67,7 +70,7 @@ fn unrank_step(id: u64, n: usize, index: u64) -> Step {
         render_perm(perm.as_slice()),
         perm.pack_u64(),
     );
-    let env = envelope("unrank", true, &results, id, 0, (req.len() + 5) as u64);
+    let env = wire_envelope("unrank", true, &results, id, 0, (req.len() + 5) as u64);
     Step {
         id,
         req,
@@ -88,7 +91,7 @@ fn rank_step(id: u64, n: usize, index: u64) -> Step {
         render_perm(perm.as_slice()),
         rank_u64(&perm),
     );
-    let env = envelope("rank", true, &results, id, 0, (req.len() + 5) as u64);
+    let env = wire_envelope("rank", true, &results, id, 0, (req.len() + 5) as u64);
     Step {
         id,
         req,
@@ -109,7 +112,7 @@ fn block_step(id: u64, workers: usize, n: usize, start: u64, end: u64, chunk: u6
          \"chunks\":{chunks},\"words\":{}}}",
         end - start,
     );
-    let env = envelope("block", true, &results, id, 0, (req.len() + 5) as u64);
+    let env = wire_envelope("block", true, &results, id, 0, (req.len() + 5) as u64);
     Step {
         id,
         req,
@@ -140,7 +143,7 @@ fn stream_step(id: u64, n: usize, count: u64, seed: u64, chunk: u64) -> Step {
          \"guard\":{{\"detected\":{},\"retried\":{},\"fell_back\":{}}}}}",
         guard.detected, guard.retried, guard.fell_back,
     );
-    let env = envelope(
+    let env = wire_envelope(
         "random-stream",
         true,
         &results,
@@ -162,7 +165,7 @@ fn verify_step(id: u64, n: usize, jobs: usize, total: u64) -> Step {
     let results = format!(
         "{{\"type\":\"verify\",\"n\":{n},\"workers\":{jobs},\"total\":{total},\"verdict\":\"ok\"}}"
     );
-    let env = envelope("verify", true, &results, id, 0, (req.len() + 5) as u64);
+    let env = wire_envelope("verify", true, &results, id, 0, (req.len() + 5) as u64);
     Step {
         id,
         req,
@@ -177,8 +180,9 @@ fn bad_cmd_step(id: u64) -> Step {
     let results = error_result(
         "unknown cmd \"frobnicate\" (commands: unrank | rank | block | random-stream | \
          verify | stats | shutdown)",
-    );
-    let env = envelope("error", false, &results, id, 0, (req.len() + 5) as u64);
+    )
+    .to_string();
+    let env = wire_envelope("error", false, &results, id, 0, (req.len() + 5) as u64);
     Step {
         id,
         req,
